@@ -93,13 +93,13 @@ class SessionArena:
     — the simulator (or :class:`~repro.sim.view.SessionView`), the
     network, and the ledger shells — and every
     :class:`PaymentSession` built with ``arena=`` **resets** them in
-    place instead of rebuilding: the kernel keeps its recycled event
-    slab (and the heap list its capacity), the network keeps its
-    cleared routing table, and each ledger keeps its shell.  Protocol
-    participants are still built fresh per run — they are cheap,
-    state-heavy objects — and registered into the reset network, so a
-    trial on a reused arena draws the same RNG values, schedules the
-    same events, and emits the same trace as one on a fresh build.
+    place instead of rebuilding: the kernel keeps its event queue,
+    the network keeps its cleared routing table, and each ledger
+    keeps its shell.  Protocol participants are still built fresh per
+    run — they are cheap, state-heavy objects — and registered into
+    the reset network, so a trial on a reused arena draws the same RNG
+    values, schedules the same events, and emits the same trace as one
+    on a fresh build.
 
     The first session built with an empty arena populates it; later
     sessions reuse it.  Reuse contract: a run's outcome and trace must
@@ -231,7 +231,7 @@ class PaymentSession:
 
         The reset mirror of the fresh build below: same seed, same
         trace level, same timing/adversary wiring — only the object
-        identities (and the kernel's event slab) carry over.
+        identities carry over.
         """
         sim = arena.sim
         trace = sim.trace

@@ -56,7 +56,7 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 }
 
 #: Sweep-spec builders, for callers that want to schedule trials
-#: themselves (benchmarks, external executors): id -> build_sweep.
+#: themselves (tests, external executors): id -> build_sweep.
 SWEEPS: Dict[str, Callable[..., object]] = {
     exp_id: module.build_sweep for exp_id, module in _MODULES.items()
 }

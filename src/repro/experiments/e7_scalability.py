@@ -9,10 +9,10 @@ number of messages: G, $, P forward; χ, $ backward).
 The table reports the simulator's *deterministic* cost metrics only
 (messages, events, simulated end time), so it stays byte-identical
 across ``--jobs`` values like every other table.  Wall-clock cost is
-covered by the CLI's per-experiment footer and by the
-``benchmarks/`` suite (``bench_e7_scalability.py``, ``bench_kernel.py``);
-per-trial walls are also on each :class:`TrialRecord` for callers
-running the sweep themselves.
+covered by the CLI's per-experiment footer and by the repository
+benchmark (``perfbench/``, whose ``campaign`` workload times real
+trials); per-trial walls are also on each :class:`TrialRecord` for
+callers running the sweep themselves.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ def aggregate(sweep: SweepResult) -> ExperimentResult:
         title="simulation cost vs path length",
         claim=(
             "messages grow linearly in the number of escrows (5n + "
-            "constant); wall time (see benchmarks/) stays in "
-            "milliseconds at n=64."
+            "constant); wall time stays in milliseconds at n=64."
         ),
         columns=["n", "messages", "events", "sim_end_time"],
     )

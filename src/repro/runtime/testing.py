@@ -1,8 +1,8 @@
 """Importable trial functions for exercising the runtime itself.
 
 Trial functions must be resolvable by ``module:qualname`` from worker
-processes, so the runtime's own test/benchmark trials live here rather
-than inside test modules (which are not importable under every
+processes, so the runtime's own test trials live here rather than
+inside test modules (which are not importable under every
 multiprocessing start method).
 """
 
@@ -29,22 +29,9 @@ def failing_trial(spec: TrialSpec) -> Dict[str, Any]:
     return {"survived": True}
 
 
-def spin_trial(spec: TrialSpec) -> Dict[str, Any]:
-    """Burn CPU deterministically — speedup measurements.
-
-    ``options['iterations']`` controls the amount of work; the returned
-    checksum depends only on the spec, so serial and parallel runs stay
-    comparable.
-    """
-    total = 0
-    for i in range(int(spec.opt("iterations", 100_000))):
-        total = (total * 31 + i + spec.seed) % 1_000_000_007
-    return {"checksum": total}
-
-
 def scalar_trial(spec: TrialSpec) -> Any:
     """Return a bare int — exercises the dict-contract check."""
     return spec.seed
 
 
-__all__ = ["echo_trial", "failing_trial", "scalar_trial", "spin_trial"]
+__all__ = ["echo_trial", "failing_trial", "scalar_trial"]

@@ -20,11 +20,9 @@ timing models are stateless; adversaries are stateful and therefore
 :meth:`~repro.net.adversary.Adversary.reset` before every run.  The
 mutable world itself — simulator, network, ledgers — lives in a
 per-(protocol, topology) :class:`~repro.core.session.SessionArena`
-that each trial *resets* instead of rebuilding, so the kernel's
-recycled event slab survives from trial to trial and steady-state
-cells allocate no events at all.  None of this changes any trial's
-event sequence or RNG draws — it only skips redundant construction
-work.
+that each trial *resets* instead of rebuilding.  None of this changes
+any trial's event sequence or RNG draws — it only skips redundant
+construction work.
 """
 
 from __future__ import annotations
@@ -43,11 +41,10 @@ _TIMING_MODELS: Dict[Tuple[str, Tuple[Tuple[str, float], ...]], Any] = {}
 _ADVERSARIES: Dict[Tuple[str, str], Any] = {}
 
 #: (protocol, topology name) -> reusable
-#: :class:`~repro.core.session.SessionArena`: the cell's simulator
-#: (with its recycled event slab), network, and ledger shells, reset —
-#: not rebuilt — for every trial.  Like the template caches above this
-#: is per worker process, and it extends them from read-only shapes to
-#: the full mutable world.
+#: :class:`~repro.core.session.SessionArena`: the cell's simulator,
+#: network, and ledger shells, reset — not rebuilt — for every trial.
+#: Like the template caches above this is per worker process, and it
+#: extends them from read-only shapes to the full mutable world.
 _ARENAS: Dict[Tuple[str, str], Any] = {}
 
 

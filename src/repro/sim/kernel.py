@@ -16,7 +16,6 @@ suite reproducible and the bounded explorer sound.
 from __future__ import annotations
 
 from heapq import heappop as _heappop, heappush as _heappush
-from sys import getrefcount as _getrefcount
 from typing import Any, Callable, List, Optional
 
 from ..errors import SchedulingError, SimulationError
@@ -112,12 +111,11 @@ class Simulator:
         if not (delay >= 0.0):  # also rejects NaN
             raise SchedulingError(f"negative or NaN delay: {delay!r}")
         # Inlined fast path: this is the hottest call in the repo
-        # (every timer/delivery goes through it), so the event comes
-        # off the queue's slab free list when one is available (built
-        # field-by-field either way, skipping the Event.__init__
-        # frame) and is pushed straight into the queue's heap
-        # (skipping push_new).  `time >= now` holds by construction,
-        # so `time < inf` is the whole finiteness check (NaN compares
+        # (every timer/delivery goes through it), so the event is
+        # built field-by-field (skipping the Event.__init__ frame) and
+        # pushed straight into the queue's heap (skipping
+        # EventQueue.push).  `time >= now` holds by construction, so
+        # `time < inf` is the whole finiteness check (NaN compares
         # false and is rejected).
         time = self._now + delay
         if not (time < _INF):
@@ -125,8 +123,7 @@ class Simulator:
         if priority.__class__ is not int:
             priority = int(priority)
         queue = self._queue
-        free = queue._free
-        event = free.pop() if free else _EVENT_NEW(Event)
+        event = _EVENT_NEW(Event)
         event.time = time
         event.priority = priority
         event.fn = fn
@@ -161,8 +158,7 @@ class Simulator:
         if priority.__class__ is not int:
             priority = int(priority)
         queue = self._queue
-        free = queue._free
-        event = free.pop() if free else _EVENT_NEW(Event)
+        event = _EVENT_NEW(Event)
         event.time = time
         event.priority = priority
         event.fn = fn
@@ -258,81 +254,11 @@ class Simulator:
         # times are always finite, so a missing horizon/event budget
         # normalises to infinity and each needs just one comparison
         # per event.
-        #
-        # Slab recycling: a spent event (fired, or discarded as a dead
-        # head) goes back on the queue's free list *only* when exactly
-        # three references remain — the popped heap entry still held by
-        # `head`, the `event` local, and getrefcount's own argument.
-        # Any external holder (a timer table, a handle a test kept, a
-        # protocol field) raises the count and vetoes the recycle, so
-        # a handle someone can still cancel() through is never reused
-        # — PR 2's cancel-after-fire no-op contract survives.  Events
-        # have no __weakref__ slot, so no hidden referrers exist.
         queue = self._queue
         heap = queue._heap
-        free = queue._free
-        free_append = free.append
         heappop = _heappop  # local binding: LOAD_FAST in the loop
-        getrefcount = _getrefcount
         conditions = self._stop_conditions
         executed = 0
-        if until is None and max_events is None:
-            # Fast drain loop: no horizon or budget to compare per
-            # event (the bare ``run()`` that empties the queue — the
-            # kernel benchmark's shape).  Same body as the general
-            # loop below minus the two bound checks and the
-            # ``exhausted`` bookkeeping (with no horizon the clock is
-            # never adjusted on exit); the ``conditions`` re-check per
-            # event stays, so a stop condition added mid-run by a
-            # callback is still honoured.  ``_stopped`` is checked
-            # after firing instead of in the loop condition — run()
-            # clears it on entry and stop() only promises to halt
-            # *after* the current event, so the placement is
-            # observably identical one comparison cheaper.  Keep in
-            # lockstep with the general loop.
-            try:
-                while heap:
-                    head = heap[0]
-                    event = head[3]
-                    if event.cancelled or event.fired:
-                        heappop(heap)
-                        if event._counted:
-                            event._counted = False
-                            queue._live -= 1
-                        if getrefcount(event) == 3:
-                            event.fn = None
-                            event.args = None
-                            free_append(event)
-                        continue
-                    heappop(heap)
-                    event._counted = False
-                    queue._live -= 1
-                    self._now = head[0]
-                    executed += 1
-                    self._executed += 1
-                    event.fired = True
-                    args = event.args
-                    if args:
-                        event.fn(*args)
-                    else:
-                        event.fn()  # plain call: skips CALL_EX unpack
-                    if getrefcount(event) == 3:
-                        event.fn = None
-                        event.args = None
-                        free_append(event)
-                    if self._stopped:
-                        break
-                    if conditions:
-                        stop = False
-                        for condition in conditions:
-                            if condition(self):
-                                stop = True
-                                break
-                        if stop:
-                            break
-            finally:
-                self._running = False
-            return executed
         horizon = until if until is not None else _INF
         budget = max_events if max_events is not None else _INF
         # Whether the loop ended because no due event remained (queue
@@ -352,10 +278,6 @@ class Simulator:
                     if event._counted:
                         event._counted = False
                         queue._live -= 1
-                    if getrefcount(event) == 3:
-                        event.fn = None
-                        event.args = None
-                        free_append(event)
                     continue
                 time = head[0]
                 if time > horizon:
@@ -376,10 +298,6 @@ class Simulator:
                     event.fn(*args)
                 else:
                     event.fn()  # plain call: skips CALL_EX unpack
-                if getrefcount(event) == 3:
-                    event.fn = None
-                    event.args = None
-                    free_append(event)
                 if conditions:
                     stop = False
                     for condition in conditions:
@@ -405,9 +323,8 @@ class Simulator:
         clock, executed-event count, stop conditions, and stop flag are
         cleared; the random registry is rebuilt from ``seed`` and the
         trace replaced (a fresh full recorder when ``trace`` is
-        omitted) — exactly the state ``__init__`` would produce.  The
-        event queue keeps its slab of recycled event shells, so
-        steady-state arena trials allocate no new events.
+        omitted) — exactly the state ``__init__`` would produce.
+        Pending events are dropped.
 
         Raises
         ------
@@ -417,7 +334,7 @@ class Simulator:
         if self._running:
             raise SimulationError("cannot reset a running Simulator")
         self._now = 0.0
-        self._queue.reset()
+        self._queue.clear()
         self._stopped = False
         self._executed = 0
         self.rng = RngRegistry(seed)

@@ -23,12 +23,12 @@ double-cancel all leave ``len(queue)`` exact instead of silently
 undercounting.
 
 .. note::
-   The kernel inlines :meth:`EventQueue.push_new` (in
-   ``Simulator.schedule``) and the body of :meth:`EventQueue.pop_due`
-   (in ``Simulator.run``) to shed a Python call per event; the heap
-   entry layout and ``_counted``/``_live`` bookkeeping here and there
-   must stay in lockstep.  ``_heap`` is mutated only in place
-   (``clear()`` included) so the kernel may hoist a reference to it.
+   The kernel inlines the push (in ``Simulator.schedule``) and the
+   body of :meth:`EventQueue.pop_due` (in ``Simulator.run``) to shed a
+   Python call per event; the heap entry layout and
+   ``_counted``/``_live`` bookkeeping must match in both places.
+   ``_heap`` is mutated only in place (``clear()`` included) so the
+   kernel may hoist a reference to it.
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
         self._live = 0
-        #: Slab free list of spent :class:`Event` shells.  The kernel
-        #: recycles an event here after it fires (or is discarded as a
-        #: dead head) *only* when it can prove no external reference to
-        #: the object survives — see ``Simulator.run`` — and pops the
-        #: shell back out in ``Simulator.schedule`` instead of
-        #: allocating.  Like ``_heap``, mutated only in place so the
-        #: kernel may hoist a reference to it.
-        self._free: List[Event] = []
 
     def __len__(self) -> int:
         """Number of *live* (non-cancelled) events."""
@@ -72,19 +64,6 @@ class EventQueue:
             self._live += 1
         else:
             event._counted = False
-        return event
-
-    def push_new(self, event: Event) -> Event:
-        """Insert a freshly constructed, never-cancelled event.
-
-        The kernel's scheduling fast path: a just-created event is
-        always alive, so the liveness re-check in :meth:`push` is
-        skipped.  Callers that may hand over dead or recycled events
-        must use :meth:`push`.
-        """
-        heappush(self._heap, (event.time, event.priority, event.seq, event))
-        event._counted = True
-        self._live += 1
         return event
 
     def pop(self) -> Event:
@@ -158,18 +137,6 @@ class EventQueue:
             entry[3]._counted = False
         self._heap.clear()
         self._live = 0
-
-    def reset(self) -> None:
-        """Drop all events but keep the recycled-event slab.
-
-        The arena lifecycle: one queue serves many trials.  Pending
-        events from the previous trial are discarded (they may still be
-        referenced by the previous trial's processes, so they are *not*
-        recycled into the slab), while the slab itself — spent shells
-        the kernel proved unreferenced — carries over, so steady-state
-        trials allocate no new events at all.
-        """
-        self.clear()
 
     def iter_pending(self) -> Iterator[Event]:
         """Iterate live events in *heap* order (not sorted).

@@ -245,6 +245,8 @@ class TestCampaignReaggregation:
         sweep_result = SerialExecutor().run(self._campaign().compile())
         live = render_table(aggregate_campaign(sweep_result))
         write_sweep_result(sweep_result, tmp_path / "out")
+        records = load_sweep_result(tmp_path / "out")
+        assert [r.values for r in records] == [r.values for r in sweep_result]
         reloaded = render_table(load_campaign(tmp_path / "out"))
         assert reloaded == live
 

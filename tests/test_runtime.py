@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import SWEEPS, render_table
-from repro.experiments import e1_synchrony, e4_weak
+from repro.experiments import e1_synchrony, e2_drift, e4_weak
 from repro.runtime import (
     ParallelExecutor,
     SerialExecutor,
@@ -204,12 +204,13 @@ class TestResolveExecutor:
 class TestExperimentParity:
     """Serial and parallel executors must be indistinguishable."""
 
-    @pytest.mark.parametrize("module", [e1_synchrony, e4_weak])
+    @pytest.mark.parametrize("module", [e1_synchrony, e2_drift, e4_weak])
     def test_serial_parallel_sweep_results_identical(self, module):
         sweep = module.build_sweep(quick=True, seed=0)
         serial = SerialExecutor().run(sweep)
         parallel = ParallelExecutor(jobs=2).run(sweep)
         assert [r.values for r in serial] == [r.values for r in parallel]
+        assert [r.spec for r in serial] == [r.spec for r in parallel]
         assert render_table(module.aggregate(serial)) == render_table(
             module.aggregate(parallel)
         )

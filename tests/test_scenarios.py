@@ -327,6 +327,7 @@ class TestCampaignAggregation:
         serial = SerialExecutor().run(sweep)
         parallel = ParallelExecutor(jobs=2).run(sweep)
         assert [r.values for r in serial] == [r.values for r in parallel]
+        assert [r.spec for r in serial] == [r.spec for r in parallel]
         assert render_table(aggregate_campaign(serial)) == render_table(
             aggregate_campaign(parallel)
         )
@@ -347,6 +348,7 @@ class TestCampaignAggregation:
             if row["timing"] == "sync":
                 checked = row["def1_ok"] if row["protocol"] == "htlc" else row["def2_ok"]
                 assert checked == 1.0
+                assert row["bob_paid"] == 1.0
 
     def test_run_campaign_accepts_jobs_int(self):
         a = run_campaign(self._campaign(), executor=2)

@@ -249,69 +249,32 @@ class TestDeterminism:
         assert build_and_run(1) != build_and_run(2)
 
 
-class TestEventSlab:
-    """The slab recycles spent events only when provably unreferenced."""
+class TestEventHandles:
+    """Spent events stay inert handles; reset clears all kernel state."""
 
-    def test_anonymous_events_recycle_and_handles_veto(self):
-        sim = Simulator()
-        fired = []
-        held = sim.schedule(0.1, fired.append, "held")
-        sim.schedule(0.2, fired.append, "anon")
-        sim.run()
-        assert fired == ["held", "anon"]
-        free = sim._queue._free
-        # The anonymous event went back to the slab; the held one kept
-        # its identity and fields because this test still references it.
-        assert len(free) == 1
-        assert free[0] is not held
-        assert held.fired and held.fn is not None
-
-    def test_cancel_after_fire_still_a_noop_with_slab(self):
+    def test_cancel_after_fire_still_a_noop(self):
         sim = Simulator()
         fired = []
         handle = sim.schedule(0.1, fired.append, "a")
         sim.run()
         sim.cancel(handle)  # dead handle: must not corrupt anything
         assert not handle.cancelled
+        assert handle.fired and handle.fn == fired.append
         sim.schedule(0.2, fired.append, "b")
         sim.run()
         assert fired == ["a", "b"]
         assert len(sim._queue) == 0
 
-    def test_recycled_shell_serves_next_schedule(self):
-        sim = Simulator()
-        sim.schedule(0.1, lambda: None)
-        sim.run()
-        shell = sim._queue._free[-1]
-        seq_before = shell.seq
-        event = sim.schedule(0.5, lambda: None)
-        assert event is shell
-        assert event.seq != seq_before
-        assert not event.fired and not event.cancelled
-
-    def test_cancelled_dead_head_recycles(self):
-        sim = Simulator()
-        fired = []
-        victim = sim.schedule(0.1, fired.append, "victim")
-        sim.schedule(0.2, fired.append, "other")
-        sim.cancel(victim)
-        del victim  # drop the external reference: recycling allowed
-        sim.run()
-        assert fired == ["other"]
-        assert len(sim._queue._free) == 2
-
-    def test_reset_keeps_slab_and_clears_state(self):
+    def test_reset_clears_state_and_reseeds(self):
         sim = Simulator(seed=3)
         for i in range(5):
             sim.schedule(float(i), lambda: None)
         sim.run()
-        slab = len(sim._queue._free)
-        assert slab == 5
+        sim.schedule(1.0, lambda: None)  # left pending across the reset
         sim.reset(seed=9)
         assert sim.now == 0.0
         assert sim.executed_events == 0
         assert sim.pending_events == 0
-        assert len(sim._queue._free) == slab
         order = []
         rng = sim.rng.stream("jitter")
         for i in range(5):

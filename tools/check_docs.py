@@ -8,11 +8,10 @@ tables that can rot.  Likewise the analysis subsystem: its metric
 registry (`repro.analysis.query.METRICS`) feeds ``--list-metrics``
 and the ``analyze --help`` epilog, and the ``analyze`` parser's flags
 are the subcommand's real interface — docs/ANALYSIS.md documents
-both, and README.md documents the incremental-campaign flag
-(``--resume``) plus every ``tools/bench.py`` flag (the perf harness's
-real interface, via its ``cli_flags()``).  This script fails (exit 1)
-when any registered axis name, analysis metric, or CLI flag is
-missing from the document that promises it, naming each gap.
+both, and README.md documents the campaign flags ``--resume`` and
+``--chunksize`` plus every ``repro workload`` flag.  This script
+fails (exit 1) when any registered axis name, analysis metric, or CLI
+flag is missing from the document that promises it, naming each gap.
 
 Run from the repository root (CI does)::
 
@@ -36,14 +35,13 @@ DOCUMENTS = ("README.md", "docs/PAPER_MAP.md")
 #: The analysis cookbook: must mention every metric and analyze flag.
 ANALYSIS_DOCUMENT = "docs/ANALYSIS.md"
 
-#: Documents that must mention every incremental-campaign flag.
-RESUME_FLAGS = ("--resume",)
-RESUME_DOCUMENTS = ("README.md", "docs/ANALYSIS.md")
-
-#: Document that must mention every tools/bench.py flag (plus the
-#: campaign chunksize knob that tunes what the bench measures).
-BENCH_DOCUMENT = "README.md"
-BENCH_EXTRA_FLAGS = ("--chunksize",)
+#: Campaign flags each document must mention: incremental campaigns
+#: (``--resume``) where users look for campaign workflows, and the
+#: parallel chunking knob in the README's performance notes.
+CAMPAIGN_FLAGS = {
+    "README.md": ("--resume", "--chunksize"),
+    "docs/ANALYSIS.md": ("--resume",),
+}
 
 #: Document that must mention every `repro workload` flag: the
 #: concurrent-workload CLI is its own README section, and its flag set
@@ -139,11 +137,10 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                     f"{ANALYSIS_DOCUMENT}: analyze flag `{flag}` not documented"
                 )
 
-    # Incremental campaigns: --resume must be documented where users
-    # look for campaign workflows.
-    resume_texts = _read_documents(root, RESUME_DOCUMENTS, [])
-    for rel, text in resume_texts.items():
-        for flag in RESUME_FLAGS:
+    # Campaign flags that have no registry of their own.
+    campaign_texts = _read_documents(root, tuple(CAMPAIGN_FLAGS), [])
+    for rel, text in campaign_texts.items():
+        for flag in CAMPAIGN_FLAGS[rel]:
             if f"`{flag}`" not in text:
                 problems.append(f"{rel}: campaign flag `{flag}` not documented")
 
@@ -158,23 +155,6 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                 problems.append(
                     f"{WORKLOAD_DOCUMENT}: workload flag `{flag}` not documented"
                 )
-
-    # The perf harness: every tools/bench.py flag must be documented
-    # (backticked, bare or usage-style) in the README's performance
-    # section, from the same parser that --help renders.
-    sys.path.insert(0, str(root / "tools"))
-    try:
-        from bench import cli_flags as bench_cli_flags
-    finally:
-        sys.path.pop(0)
-    bench_texts = _read_documents(root, (BENCH_DOCUMENT,), problems)
-    bench_text = bench_texts.get(BENCH_DOCUMENT, "")
-    if bench_text:
-        for flag in tuple(bench_cli_flags()) + BENCH_EXTRA_FLAGS:
-            if f"`{flag}`" not in bench_text and f"`{flag} " not in bench_text:
-                problems.append(
-                    f"{BENCH_DOCUMENT}: bench flag `{flag}` not documented"
-                )
     return problems
 
 
@@ -187,7 +167,7 @@ def main() -> int:
             f"docs-consistency: {len(problems)} problem(s); update "
             f"{' / '.join(DOCUMENTS + (ANALYSIS_DOCUMENT,))} to match "
             "repro/scenarios/registry.py, repro/analysis/query.py, "
-            "repro/analysis/cli.py, and tools/bench.py",
+            "repro/analysis/cli.py, and repro/workload/cli.py",
             file=sys.stderr,
         )
         return 1
