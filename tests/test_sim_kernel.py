@@ -265,6 +265,29 @@ class TestEventHandles:
         assert fired == ["a", "b"]
         assert len(sim._queue) == 0
 
+    def test_schedule_after_run_returns_fresh_event(self):
+        sim = Simulator()
+        spent = sim.schedule(0.1, lambda: None)
+        sim.run()
+        event = sim.schedule(0.5, lambda: None)
+        assert event is not spent
+        assert event.seq > spent.seq
+        assert not event.fired and not event.cancelled
+        assert spent.fired  # the spent handle is left untouched
+
+    def test_cancelled_dead_head_is_discarded(self):
+        sim = Simulator()
+        fired = []
+        victim = sim.schedule(0.1, fired.append, "victim")
+        sim.schedule(0.2, fired.append, "other")
+        sim.cancel(victim)
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["other"]
+        assert victim.cancelled and not victim.fired
+        assert len(sim._queue) == 0
+        assert not sim._queue._heap
+
     def test_reset_clears_state_and_reseeds(self):
         sim = Simulator(seed=3)
         for i in range(5):
