@@ -15,10 +15,10 @@ metrics.  This module provides exactly that shape:
   ``docs/ANALYSIS.md`` cannot drift;
 * :func:`analyze_store` — the one-call filter → group-by → metrics
   pipeline, returning an
-  :class:`~repro.experiments.harness.ExperimentResult` so analysis
-  tables render through the exact code path campaign tables use
-  (shared ``fraction`` / ``mean`` helpers and float formatting —
-  aggregate cells match the campaign table for shared groups).
+  :class:`~repro.runtime.tables.ExperimentResult`.  The campaign
+  table is one such query
+  (:func:`~repro.scenarios.campaign.aggregate_campaign`), so its cells
+  and ``analyze``'s are computed and formatted by the same code.
 
 Percentile definition (the one documented in ``docs/ANALYSIS.md``):
 for the sorted latencies ``x_0 <= ... <= x_{n-1}`` of a group's
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError
-from ..experiments.harness import ExperimentResult, fraction, mean
+from ..runtime.tables import ExperimentResult, fraction, mean
 from .store import RecordStore
 
 #: Friendly grouping aliases: the campaign table says ``timing``, the
@@ -136,7 +136,7 @@ METRICS: Dict[str, Metric] = {
         ),
         Metric(
             "success",
-            "fraction of runs on which Bob was paid (campaign bob_paid)",
+            "fraction of runs on which Bob was paid (record value bob_paid)",
             _fraction_of("bob_paid"),
         ),
         Metric(

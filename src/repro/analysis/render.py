@@ -1,10 +1,10 @@
 """Renderers for analysis tables: aligned text, CSV, JSON.
 
-One :class:`~repro.experiments.harness.ExperimentResult` — the output
+One :class:`~repro.runtime.tables.ExperimentResult` — the output
 of :func:`~repro.analysis.query.analyze_store` — three consumers:
 
 * ``text`` re-uses the experiment suite's fixed-width renderer
-  (:func:`repro.experiments.tables.render_table`), so analysis tables
+  (:func:`repro.runtime.tables.render_table`), so analysis tables
   format numbers exactly as campaign tables do and shared cells
   compare byte-for-byte;
 * ``csv`` is one header plus one row per group, raw (unrounded)
@@ -25,8 +25,7 @@ import json
 from typing import Any, Callable, Dict
 
 from ..errors import ScenarioError
-from ..experiments.harness import ExperimentResult
-from ..experiments.tables import render_table
+from ..runtime.tables import ExperimentResult, render_table
 
 
 def render_text(result: ExperimentResult) -> str:

@@ -25,34 +25,33 @@ default quick mode keeps the whole evaluation in the tens of seconds.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from typing import List, Optional
 
-from .experiments import EXPERIMENTS, experiment_doc, render_table
 from .runtime import default_jobs, resolve_executor
+
+#: Subcommand name -> ``module:function`` of its entry point, imported
+#: only when invoked.  Each keeps its own flag set; the plain
+#: invocation stays positional (experiment ids) for backward
+#: compatibility.
+SUBCOMMANDS = {
+    "campaign": "repro.scenarios.cli:campaign_main",
+    "analyze": "repro.analysis.cli:analyze_main",
+    "workload": "repro.workload.cli:workload_main",
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "campaign":
-        # The scenario-matrix subcommand keeps its own flag set; the
-        # plain invocation stays positional for backward compatibility.
-        from .scenarios.cli import campaign_main
+    if argv and argv[0] in SUBCOMMANDS:
+        module, _, name = SUBCOMMANDS[argv[0]].partition(":")
+        return getattr(importlib.import_module(module), name)(argv[1:])
+    from .experiments import EXPERIMENTS, experiment_doc
+    from .runtime.tables import render_table
 
-        return campaign_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        # Post-hoc analytics over a persisted --out directory.
-        from .analysis.cli import analyze_main
-
-        return analyze_main(argv[1:])
-    if argv and argv[0] == "workload":
-        # Concurrent multi-payment workloads on a shared liquidity
-        # substrate (see repro.workload.cli).
-        from .workload.cli import workload_main
-
-        return workload_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(

@@ -35,7 +35,7 @@ from .harness import (
     payment_session,
     seeds_for,
 )
-from .tables import render_table
+from ..runtime.tables import render_table
 
 #: id -> experiment module; the single source the registries derive from.
 _MODULES = {

@@ -1,68 +1,20 @@
-"""Experiment harness: result records and sweep helpers.
+"""Experiment harness: sweep helpers the experiment modules share.
 
-Also home to the declarative payment-trial conveniences the experiment
-modules share: :func:`build_timing` turns a primitive timing descriptor
-into a timing model, and :func:`payment_session` assembles a
+:func:`payment_session` assembles a
 :class:`~repro.core.session.PaymentSession` from a
-:class:`~repro.runtime.spec.TrialSpec`'s options.
+:class:`~repro.runtime.spec.TrialSpec`'s options.  The result table
+(:class:`ExperimentResult`, :func:`fraction`, :func:`mean`) lives in
+:mod:`repro.runtime.tables` and :func:`build_timing` in
+:mod:`repro.net.timing`, below this package; both are re-exported here
+for the experiment modules.
 """
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import List
 
-from ..errors import ExperimentError
-
-
-@dataclass
-class ExperimentResult:
-    """One experiment's table, ready for rendering and assertions."""
-
-    exp_id: str
-    title: str
-    claim: str
-    columns: List[str]
-    rows: List[Dict[str, Any]] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-
-    def add_row(self, **values: Any) -> Dict[str, Any]:
-        row = dict(values)
-        missing = [c for c in self.columns if c not in row]
-        if missing:
-            raise ExperimentError(f"row missing columns {missing}")
-        unknown = [k for k in row if k not in self.columns]
-        if unknown:
-            raise ExperimentError(
-                f"row has unknown columns {unknown}; declared: {self.columns}"
-            )
-        self.rows.append(row)
-        return row
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
-
-    def column(self, name: str) -> List[Any]:
-        return [row[name] for row in self.rows]
-
-    def find_rows(self, **match: Any) -> List[Dict[str, Any]]:
-        return [
-            row
-            for row in self.rows
-            if all(row.get(k) == v for k, v in match.items())
-        ]
-
-
-def fraction(flags: Iterable[bool]) -> float:
-    """Share of True values (0 for empty input)."""
-    flags = list(flags)
-    return sum(1 for f in flags if f) / len(flags) if flags else 0.0
-
-
-def mean(values: Iterable[float]) -> float:
-    values = list(values)
-    return statistics.fmean(values) if values else 0.0
+from ..net.timing import build_timing
+from ..runtime.tables import ExperimentResult, fraction, mean
 
 
 def seeds_for(quick: bool, quick_count: int = 10, full_count: int = 40) -> List[int]:
@@ -71,28 +23,6 @@ def seeds_for(quick: bool, quick_count: int = 10, full_count: int = 40) -> List[
 
 
 # -- declarative payment trials ------------------------------------------
-
-
-def build_timing(descriptor: Sequence[Any]):
-    """Build a timing model from a primitive ``(kind, params)`` pair.
-
-    Trial specs must carry plain data only, so timing models travel as
-    e.g. ``("synchronous", {"delta": 1.0})``,
-    ``("partial", {"gst": 40.0, "delta": 1.0})``, or
-    ``("asynchronous", {"mean_delay": 1.0})`` and are instantiated
-    inside the trial function.
-    """
-    from ..net.timing import Asynchronous, PartialSynchrony, Synchronous
-
-    kind = descriptor[0]
-    params = dict(descriptor[1]) if len(descriptor) > 1 else {}
-    if kind == "synchronous":
-        return Synchronous(**params)
-    if kind == "partial":
-        return PartialSynchrony(**params)
-    if kind == "asynchronous":
-        return Asynchronous(**params)
-    raise ExperimentError(f"unknown timing descriptor kind: {kind!r}")
 
 
 def payment_session(spec, **overrides):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from math import log as _log
-from typing import Optional
+from typing import Any, Optional, Sequence
 
 from ..errors import TimingModelError
 from ..sim.rng import RngStream
@@ -238,4 +238,27 @@ class Asynchronous(TimingModel):
         return f"Asynchronous(mean={self.mean_delay})"
 
 
-__all__ = ["Asynchronous", "PartialSynchrony", "Synchronous", "TimingModel"]
+def build_timing(descriptor: Sequence[Any]) -> TimingModel:
+    """Build a timing model from a primitive ``(kind, params)`` pair.
+
+    Trial specs must carry plain data only, so timing models travel as
+    e.g. ``("synchronous", {"delta": 1.0})``,
+    ``("partial", {"gst": 40.0, "delta": 1.0})``, or
+    ``("asynchronous", {"mean_delay": 1.0})`` and are instantiated
+    inside the trial function.
+    """
+    kind = descriptor[0]
+    params = dict(descriptor[1]) if len(descriptor) > 1 else {}
+    if kind == "synchronous":
+        return Synchronous(**params)
+    if kind == "partial":
+        return PartialSynchrony(**params)
+    if kind == "asynchronous":
+        return Asynchronous(**params)
+    raise TimingModelError(f"unknown timing descriptor kind: {kind!r}")
+
+
+__all__ = [
+    "Asynchronous", "PartialSynchrony", "Synchronous", "TimingModel",
+    "build_timing",
+]

@@ -1,6 +1,6 @@
 """The sweep-execution runtime.
 
-Three layers, assembled bottom-up:
+The layers, assembled bottom-up:
 
 * :mod:`~repro.runtime.spec` — declarative :class:`TrialSpec` /
   :class:`SweepSpec` descriptions of Monte-Carlo sweeps, with
@@ -16,7 +16,12 @@ Three layers, assembled bottom-up:
 * :mod:`~repro.runtime.persist` — streamed JSONL/CSV persistence for
   trial records (:class:`RecordWriter` as an executor ``sink``) and
   :func:`load_sweep_result` to reload and re-aggregate without
-  re-running any trial.
+  re-running any trial;
+* :mod:`~repro.runtime.tables` — the :class:`ExperimentResult` table
+  every sweep reduces into, and its fixed-width renderer;
+* :mod:`~repro.runtime.cli` — the run flags, run-to-directory loop and
+  ``--output`` writer the ``campaign`` and ``workload`` subcommands
+  share.
 
 Every experiment module in :mod:`repro.experiments` is a thin
 ``build_sweep`` + trial function + ``aggregate`` triple on top of this

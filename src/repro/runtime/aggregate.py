@@ -3,7 +3,7 @@
 Executors return a :class:`SweepResult` — one :class:`TrialRecord` per
 trial spec, **in spec order**, whatever the worker count or scheduling.
 Experiments then reduce records into their
-:class:`~repro.experiments.harness.ExperimentResult` tables; because
+:class:`~repro.runtime.tables.ExperimentResult` tables; because
 the records (not the reductions) cross process boundaries, trial
 functions return plain value dicts and every aggregation runs in the
 parent process, deterministically.

@@ -10,14 +10,15 @@ the grid itself the input:
   from the CLI;
 * :mod:`~repro.scenarios.spec` — :class:`ScenarioSpec` (one cell) and
   :class:`CampaignSpec` (axis lists whose cross-product compiles to a
-  :class:`~repro.runtime.spec.SweepSpec` on the PR 1 runtime);
+  :class:`~repro.runtime.spec.SweepSpec` on the sweep runtime);
 * :mod:`~repro.scenarios.trial` — the one shared trial function that
   assembles simulator + network + protocol from a compiled spec and
   reports Definition 1/2 property columns via the shared checker in
   :mod:`repro.verification.properties`;
 * :mod:`~repro.scenarios.campaign` — execution plus the
   (protocol × timing × adversary) aggregate table with per-cell
-  ``def1_ok`` / ``def2_ok`` check fractions, and
+  ``def1_ok`` / ``def2_ok`` check fractions (an ``analyze`` query over
+  the records), and
   :func:`~repro.scenarios.campaign.load_campaign` to reaggregate a
   persisted record directory byte-identically;
 * :mod:`~repro.scenarios.cli` — the ``python -m repro campaign``
@@ -36,12 +37,11 @@ process-pool parallelism, and spec-ordered byte-identical aggregation.
 """
 
 from .campaign import (
-    GROUP_AXES,
+    CAMPAIGN_METRICS,
     CampaignDiff,
     aggregate_campaign,
     diff_campaign,
     load_campaign,
-    merge_resumed,
     run_campaign,
 )
 from .registry import (
@@ -65,9 +65,9 @@ from .trial import scenario_trial
 
 __all__ = [
     "ADVERSARIES",
+    "CAMPAIGN_METRICS",
     "CampaignDiff",
     "CampaignSpec",
-    "GROUP_AXES",
     "PROTOCOLS",
     "ScenarioSpec",
     "TIMINGS",
@@ -83,7 +83,6 @@ __all__ = [
     "diff_campaign",
     "load_campaign",
     "make_adversary",
-    "merge_resumed",
     "protocol_defaults",
     "run_campaign",
     "scenario_trial",

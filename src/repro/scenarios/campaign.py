@@ -4,9 +4,13 @@ A campaign's records reduce to one :class:`ExperimentResult` table with
 a row per (protocol × timing × adversary) group — topologies and
 Monte-Carlo repetitions are pooled within the group, which is the view
 the paper's theorems speak in: *which protocol survives which network
-against which scheduler*.  Reduction happens in the parent process over
-spec-ordered records, so the rendered table is byte-identical whatever
-the worker count.
+against which scheduler*.  The table is an ``analyze`` query
+(:func:`~repro.analysis.query.analyze_store` over the records, grouped
+by :data:`~repro.analysis.query.DEFAULT_GROUP_BY` through
+:data:`CAMPAIGN_METRICS`), so ``repro analyze DIR`` reproduces every
+cell of it.  Reduction happens in the parent process over spec-ordered
+records, so the rendered table is byte-identical whatever the worker
+count.
 
 Next to the outcome columns, every row reports the share of its runs
 on which the protocol's *own* definition held (``def1_ok`` for the
@@ -23,40 +27,30 @@ byte-identically without re-running a single trial.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, List, Sequence, Tuple, Union
 
+from ..analysis.query import DEFAULT_GROUP_BY, analyze_store
+from ..analysis.store import RecordStore
 from ..errors import PersistenceError, ScenarioError
-from ..experiments.harness import ExperimentResult, fraction, mean
-from ..experiments.tables import render_table
 from ..runtime import (
     Executor,
     SweepResult,
     TrialRecord,
-    TrialSpec,
     load_sweep_result,
     resolve_executor,
 )
 from ..runtime.spec import SweepSpec
+from ..runtime.tables import ExperimentResult, render_table
 from .spec import TRIAL_REF, CampaignSpec
 
-#: Options that define aggregation groups, in row order.
-GROUP_AXES = ("protocol", "timing_name", "adversary")
-
-
-def _check_fraction(records, key):
-    """Fraction of applicable definition checks that passed, or ``-``.
-
-    ``None`` marks a record whose protocol is not checked against this
-    definition (see :func:`repro.verification.properties.property_columns`);
-    a group with no applicable records renders ``-``, distinct from a
-    checked-and-failed 0.0.
-    """
-    flags = [r[key] for r in records if r.get(key) is not None]
-    return fraction(flags) if flags else "-"
+#: The campaign table's ``analyze`` metrics, in column order.
+CAMPAIGN_METRICS = (
+    "runs", "dropped", "success", "committed", "aborted", "terminated",
+    "def1_ok", "def2_ok", "mean_latency", "mean_msgs",
+)
 
 
 def aggregate_campaign(
@@ -73,7 +67,12 @@ def aggregate_campaign(
     the loss in a table footnote.  A group whose every trial failed
     still renders (``runs=0``, stats ``-``) rather than vanishing.
     This is the recovery path for a persisted campaign too expensive
-    to re-run (``--from DIR --skip-errors``).
+    to re-run (``--from DIR --skip-errors``).  A sweep with no
+    successful trial at all always raises.
+
+    Rows appear in first-seen record order: spec order for a fresh
+    run or a ``--from`` reload, on-disk order for a directory grown
+    with ``--resume``.
 
     ``skipped`` carries the (protocol, topology, reason) combinations
     the campaign never compiled
@@ -81,20 +80,6 @@ def aggregate_campaign(
     each renders as a table note, so a matrix mixing path-only
     protocols with DAG topologies says which cells are absent and why.
     """
-    result = ExperimentResult(
-        exp_id=sweep.sweep_id.upper(),
-        title="scenario-matrix campaign",
-        claim=(
-            "per (protocol, timing model, adversary) group: how often the "
-            "payment completes, aborts, and terminates, whether the "
-            "protocol's definition held, and at what latency/message cost."
-        ),
-        columns=[
-            "protocol", "timing", "adversary", "runs", "dropped",
-            "bob_paid", "committed", "aborted", "terminated", "def1_ok",
-            "def2_ok", "mean_latency", "mean_msgs",
-        ],
-    )
     if not sweep.records:
         # CampaignSpec.compile() can never produce zero trials, so an
         # empty sweep is always an anomaly (e.g. a doctored --from
@@ -102,57 +87,21 @@ def aggregate_campaign(
         raise ScenarioError(
             f"sweep {sweep.sweep_id!r} has no records to aggregate"
         )
-    if skip_errors:
-        failed = len(sweep.errors())
-        if failed == len(sweep.records):
-            # Nothing survived — an empty table exiting 0 would let a
-            # fully-failed campaign masquerade as success.
-            sweep.raise_any()
-        if failed:
-            result.note(
-                f"{failed}/{len(sweep)} trials failed and were skipped "
-                "(fractions are shares of the surviving runs; per-cell "
-                "losses in the 'dropped' column)."
-            )
-    else:
+    if not skip_errors or len(sweep.errors()) == len(sweep.records):
+        # Nothing may fail unless asked, and a sweep with no survivor
+        # must not render an empty table that exits 0.
         sweep.raise_any()
-    for group in itertools.product(
-        *(sweep.distinct(axis) for axis in GROUP_AXES)
-    ):
-        group_records = sweep.select(**dict(zip(GROUP_AXES, group)))
-        records = [r for r in group_records if r.ok]
-        dropped = len(group_records) - len(records)
-        if not group_records:
-            continue
-        protocol, timing, adversary = (
-            "-" if value is None else value for value in group
-        )
-        if not records:
-            # Every trial of the group failed — the row must still
-            # appear (that is where the evidence is missing), with the
-            # statistics marked not-computable rather than zero.
-            result.add_row(
-                protocol=protocol, timing=timing, adversary=adversary,
-                runs=0, dropped=dropped, bob_paid="-", committed="-",
-                aborted="-", terminated="-", def1_ok="-", def2_ok="-",
-                mean_latency="-", mean_msgs="-",
-            )
-            continue
-        result.add_row(
-            protocol=protocol,
-            timing=timing,
-            adversary=adversary,
-            runs=len(records),
-            dropped=dropped,
-            bob_paid=fraction(r["bob_paid"] for r in records),
-            committed=fraction(r["committed"] for r in records),
-            aborted=fraction(r["aborted"] for r in records),
-            terminated=fraction(r["all_terminated"] for r in records),
-            def1_ok=_check_fraction(records, "def1_ok"),
-            def2_ok=_check_fraction(records, "def2_ok"),
-            mean_latency=mean(r["latency"] for r in records),
-            mean_msgs=mean(r["messages"] for r in records),
-        )
+    result = analyze_store(
+        RecordStore.from_records(sweep.records, sweep.sweep_id),
+        group_by=DEFAULT_GROUP_BY,
+        metrics=CAMPAIGN_METRICS,
+    )
+    result.title = "scenario-matrix campaign"
+    result.claim = (
+        "per (protocol, timing model, adversary) group: how often the "
+        "payment completes, aborts, and terminates, whether the "
+        "protocol's definition held, and at what latency/message cost."
+    )
     survivors = [r for r in sweep if r.ok]
     topologies = sorted(
         {str(r.spec.opt("topology")) for r in survivors}
@@ -327,33 +276,12 @@ def diff_campaign(
     )
 
 
-def merge_resumed(
-    existing: Sequence[TrialRecord],
-    new: SweepResult,
-    sweep_id: str,
-    jobs: int = 1,
-) -> SweepResult:
-    """The post-resume view: persisted records first, new ones appended.
-
-    Mirrors the on-disk JSONL (old lines untouched, new lines after
-    them), so aggregating the merged result equals reloading the
-    directory.
-    """
-    return SweepResult(
-        sweep_id=sweep_id,
-        records=list(existing) + list(new.records),
-        wall_seconds=new.wall_seconds,
-        jobs=jobs,
-    )
-
-
 __all__ = [
+    "CAMPAIGN_METRICS",
     "CampaignDiff",
-    "GROUP_AXES",
     "aggregate_campaign",
     "diff_campaign",
     "load_campaign",
-    "merge_resumed",
     "render_table",
     "run_campaign",
 ]

@@ -96,7 +96,7 @@ def _timing_async() -> Tuple[str, Dict[str, float]]:
 
 
 #: name -> factory for the primitive ``(kind, params)`` descriptor that
-#: :func:`repro.experiments.harness.build_timing` consumes.
+#: :func:`repro.net.timing.build_timing` consumes.
 _TIMING_FACTORIES: Dict[str, Callable[[], Tuple[str, Dict[str, float]]]] = {
     "sync": _timing_sync,
     "sync-tight": _timing_sync_tight,

@@ -75,7 +75,7 @@ def _timing_for(descriptor: Any) -> Any:
     key = (kind, tuple(sorted(params.items())))
     model = _TIMING_MODELS.get(key)
     if model is None:
-        from ..experiments.harness import build_timing
+        from ..net.timing import build_timing
 
         model = _TIMING_MODELS[key] = build_timing(descriptor)
     return model

@@ -91,7 +91,7 @@ def patience_is_sufficient(
     """Decide Definition 2's patience precondition from the envelope.
 
     ``timing`` is a primitive descriptor as carried by trial specs
-    (see :func:`repro.experiments.harness.build_timing`).  A run counts
+    (see :func:`repro.net.timing.build_timing`).  A run counts
     as patient when the smaller of the protocol's patience values
     exceeds the time by which the network *must* have settled plus
     :data:`PATIENCE_ROUND_TRIPS` message bounds:

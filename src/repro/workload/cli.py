@@ -32,18 +32,20 @@ substrate's sanity property CI pins.
 from __future__ import annotations
 
 import argparse
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import PersistenceError, ScenarioError, WorkloadError
-from ..runtime import (
-    RecordWriter,
-    ScanResult,
-    default_jobs,
-    resolve_executor,
-    scan_records,
+from ..errors import ScenarioError, WorkloadError
+from ..runtime import ScanResult
+from ..runtime.cli import (
+    add_run_flags,
+    check_run_flags,
+    collect_overrides,
+    csv_floats,
+    csv_list,
+    print_report,
+    run_sweep_to,
+    scan_resume,
 )
-from ..scenarios.cli import _collect_overrides, _csv, _csv_floats, _parse_set
 from .spec import (
     DEFAULT_COUNT,
     DEFAULT_LIQUIDITY,
@@ -128,6 +130,7 @@ def check_monotone_liquidity(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The workload argument parser (walked by tools/check_docs.py)."""
     parser = argparse.ArgumentParser(
         prog="repro workload",
         description=(
@@ -137,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--protocols",
-        type=_csv,
+        type=csv_list,
         default=None,
         metavar="P1,P2",
         help="protocol axis (default: timebounded,htlc,weak,certified)",
     )
     parser.add_argument(
         "--loads",
-        type=_csv_floats,
+        type=csv_floats,
         default=None,
         metavar="L1,L2",
         help=(
@@ -208,61 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="clock-drift bound for every payment (default: 0)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="master seed (default: 0)"
-    )
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        type=_parse_set,
-        action="append",
-        default=None,
-        metavar="PROTO.OPT=VAL",
-        help="per-protocol option override, repeatable (campaign syntax)",
-    )
-    parser.add_argument(
         "--audit",
         action="store_true",
         help=(
             "re-check every ledger's conservation audit and the "
             "substrate's global conservation after every mutating "
             "ledger operation (slow; the invariant-harness mode)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes over cells (default: $REPRO_JOBS or 1; "
-            "records are byte-identical whatever N)"
-        ),
-    )
-    parser.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        metavar="C",
-        help="cells per worker batch for parallel runs",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help=(
-            "stream one record per payment to DIR (records.jsonl + "
-            "records.csv + manifest.json), sliceable with "
-            "`python -m repro analyze DIR`"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "with --out DIR: keep the longest prefix of whole matching "
-            "cells byte-identical and run only the rest (grows axes; "
-            "repairs interrupted runs)"
         ),
     )
     parser.add_argument(
@@ -273,34 +227,28 @@ def build_parser() -> argparse.ArgumentParser:
             "monotone non-decreasing in offered load for every protocol"
         ),
     )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="also write the rendered table to FILE",
+    add_run_flags(
+        parser,
+        unit="cell",
+        out_help=(
+            "stream one record per payment to DIR (records.jsonl + "
+            "records.csv + manifest.json), sliceable with "
+            "`python -m repro analyze DIR`"
+        ),
+        resume_help=(
+            "with --out DIR: keep the longest prefix of whole matching "
+            "cells byte-identical and run only the rest (grows axes; "
+            "repairs interrupted runs)"
+        ),
     )
+    parser.set_defaults(seed=0)
     return parser
-
-
-def cli_flags() -> List[str]:
-    """Every long flag the parser accepts (for docs-consistency checks)."""
-    flags: List[str] = []
-    for action in build_parser()._actions:
-        flags.extend(
-            opt for opt in action.option_strings if opt.startswith("--")
-        )
-    return sorted(set(flags) - {"--help"})
 
 
 def workload_main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
-    if args.resume and not args.out:
-        parser.error("--resume grows a persisted workload and needs --out DIR")
+    jobs = check_run_flags(parser, args)
 
     try:
         spec = WorkloadSpec(
@@ -319,85 +267,42 @@ def workload_main(argv: Optional[List[str]] = None) -> int:
             horizon=args.horizon,
             rho=args.rho,
             seed=args.seed,
-            overrides=_collect_overrides(args.overrides),
+            overrides=collect_overrides(args.overrides),
             audit="every-op" if args.audit else None,
         )
         sweep = spec.compile()
     except (WorkloadError, ScenarioError) as exc:
         parser.error(str(exc))
 
-    scan = None
+    # --resume keeps the longest prefix of whole, matching cells and
+    # truncates the rest: a cell writes many records and can be cut
+    # off partway, so its records are all or nothing.
     diff = None
+    trimmed = None
+    to_run = sweep
     if args.resume:
-        try:
-            scan = scan_records(args.out)
-            diff = diff_workload(sweep, scan.records)
-        except PersistenceError as exc:
-            parser.error(str(exc))
+        scan, diff = scan_resume(
+            parser, args.out, lambda records: diff_workload(sweep, records)
+        )
         to_run = diff.missing
-    else:
-        to_run = sweep
-
-    # Per-payment values per cell, keyed by cell coords, for the table.
-    cell_payments: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
-    if diff is not None:
-        for record in diff.kept:
-            cell_payments.setdefault(tuple(record.spec.coords[:-1]), []).append(
-                record.values
-            )
-
-    errors = []
-    unconserved = []
-
-    def absorb(cell_record) -> None:
-        """Fold one finished cell into the table (and flag problems)."""
-        if cell_record.error is not None:
-            errors.append(cell_record)
-            return
-        if not cell_record.values.get("conserved", False):
-            unconserved.append(cell_record.spec.coords)
-        cell_payments[tuple(cell_record.spec.coords)] = list(
-            cell_record.values["payments"]
+        trimmed = ScanResult(
+            records=diff.kept,
+            manifest=scan.manifest,
+            jsonl_bytes=diff.kept_bytes,
         )
 
-    t0 = time.perf_counter()
-    with resolve_executor(jobs=jobs, chunksize=args.chunksize) as executor:
-        if args.out:
-            trimmed = (
-                ScanResult(
-                    records=diff.kept,
-                    manifest=scan.manifest,
-                    jsonl_bytes=diff.kept_bytes,
-                )
-                if diff is not None
-                else None
-            )
-            try:
-                writer = RecordWriter(
-                    args.out, sweep_id=sweep.sweep_id, resume_from=trimmed
-                )
-            except OSError as exc:
-                parser.error(f"cannot write records to {args.out}: {exc}")
-            except PersistenceError as exc:
-                parser.error(str(exc))
+    result, written = run_sweep_to(
+        parser,
+        args,
+        jobs,
+        sweep.sweep_id,
+        to_run,
+        resume_from=trimmed,
+        expand=expand_cell_record,
+        extra={"kind": "workload", "payments_per_cell": spec.count},
+    )
 
-            def sink(cell_record) -> None:
-                absorb(cell_record)
-                if cell_record.error is None:
-                    for payment_record in expand_cell_record(cell_record):
-                        writer.write(payment_record)
-
-            with writer:
-                executor.run(to_run, sink=sink)
-                writer.close(
-                    wall_seconds=time.perf_counter() - t0,
-                    jobs=jobs,
-                    extra={"kind": "workload", "payments_per_cell": spec.count},
-                )
-        else:
-            executor.run(to_run, sink=absorb)
-    elapsed = time.perf_counter() - t0
-
+    errors = result.errors()
     if errors:
         first = errors[0]
         print(first.error)
@@ -406,6 +311,11 @@ def workload_main(argv: Optional[List[str]] = None) -> int:
             f"first: {first.spec.coords!r}"
         )
         return 1
+    unconserved = [
+        record.spec.coords
+        for record in result
+        if not record.values.get("conserved", False)
+    ]
     if unconserved:
         print(
             "error: liquidity conservation failed in cells: "
@@ -413,30 +323,32 @@ def workload_main(argv: Optional[List[str]] = None) -> int:
         )
         return 1
 
+    # Per-payment values per cell, keyed by cell coords, for the table.
+    cell_payments: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
+    for record in diff.kept if diff is not None else ():
+        cell_payments.setdefault(tuple(record.spec.coords[:-1]), []).append(
+            record.values
+        )
+    for record in result:
+        cell_payments[tuple(record.spec.coords)] = list(
+            record.values["payments"]
+        )
     rows = [
         (cell.coords, _cell_stats(cell_payments[cell.coords]))
         for cell in sweep.trials
         if cell.coords in cell_payments
     ]
-    table = render_workload_table(rows)
-    print(table)
     if diff is not None:
         footer = (
             f"({len(to_run)} cells run, {diff.completed_cells} reused from "
-            f"{args.out}, in {elapsed:.1f}s, jobs={jobs})"
+            f"{args.out}, in {result.wall_seconds:.1f}s, jobs={jobs})"
         )
     else:
         footer = (
             f"({len(sweep)} cells x {spec.count} payments in "
-            f"{elapsed:.1f}s, jobs={jobs})"
+            f"{result.wall_seconds:.1f}s, jobs={jobs})"
         )
-    print(footer)
-    if args.out:
-        print(f"wrote {writer.count} records to {args.out}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(table + "\n")
-        print(f"wrote {args.output}")
+    print_report(render_workload_table(rows), footer, args, written)
     if args.assert_monotone:
         problems = check_monotone_liquidity(rows)
         if problems:
@@ -450,7 +362,6 @@ def workload_main(argv: Optional[List[str]] = None) -> int:
 __all__ = [
     "build_parser",
     "check_monotone_liquidity",
-    "cli_flags",
     "render_workload_table",
     "workload_main",
 ]

@@ -283,7 +283,9 @@ def payment_specs(cell: TrialSpec) -> List[TrialSpec]:
 
 
 def expand_cell_record(cell_record: TrialRecord) -> List[TrialRecord]:
-    """Per-payment records from one successful cell record."""
+    """Per-payment records from one cell record (none from a failed cell)."""
+    if not cell_record.ok:
+        return []
     payments = cell_record.values["payments"]
     specs = payment_specs(cell_record.spec)
     if len(payments) != len(specs):

@@ -11,7 +11,7 @@ from repro.analysis import (
     percentile,
     render,
 )
-from repro.analysis.cli import analyze_main, cli_flags
+from repro.analysis.cli import analyze_main, build_parser
 from repro.analysis.query import resolve_group_by, resolve_metrics, resolve_where
 from repro.errors import PersistenceError, ScenarioError
 from repro.experiments import render_table
@@ -24,6 +24,7 @@ from repro.runtime import (
     scan_records,
     write_sweep_result,
 )
+from repro.runtime.cli import cli_flags
 from repro.runtime.persist import MANIFEST_JSON, RECORDS_JSONL
 from repro.scenarios import (
     CampaignSpec,
@@ -263,7 +264,7 @@ class TestAnalyzeMatchesCampaign:
                 adversary=row["adversary"],
             )
             assert row["runs"] == match["runs"]
-            assert row["success"] == match["bob_paid"]
+            assert row["success"] == match["success"]
             assert row["committed"] == match["committed"]
             assert row["aborted"] == match["aborted"]
             assert row["terminated"] == match["terminated"]
@@ -292,7 +293,7 @@ class TestAnalyzeMatchesCampaign:
                 protocol=row["protocol"], timing=row["timing"],
                 adversary=row["adversary"],
             )
-            assert row["success"] == match["bob_paid"]
+            assert row["success"] == match["success"]
             assert row["mean_latency"] == match["mean_latency"]
 
 
@@ -382,7 +383,7 @@ class TestAnalyzeCli:
             assert name in text
 
     def test_cli_flags_enumerates_long_options(self):
-        flags = cli_flags()
+        flags = cli_flags(build_parser())
         assert "--group-by" in flags and "--where" in flags
         assert "--help" not in flags
 

@@ -20,7 +20,7 @@ import json
 from typing import Any, Dict, List
 
 from repro.core.session import PaymentSession, SessionArena
-from repro.experiments.harness import build_timing
+from repro.net.timing import build_timing
 from repro.runtime.spec import TrialSpec
 from repro.scenarios import trial as trial_module
 from repro.scenarios.registry import (

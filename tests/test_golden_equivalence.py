@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.session import PaymentSession
-from repro.experiments.harness import build_timing
+from repro.net.timing import build_timing
 from repro.runtime import SerialExecutor
 from repro.scenarios.registry import build_topology, timing_descriptor
 from repro.scenarios.spec import CampaignSpec

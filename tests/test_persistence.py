@@ -418,7 +418,7 @@ class TestCampaignReaggregation:
         table = load_campaign(tmp_path / "out", skip_errors=True)
         (htlc_row,) = [r for r in table.rows if r["protocol"] == "htlc"]
         assert htlc_row["runs"] == 0 and htlc_row["dropped"] == 2
-        assert htlc_row["bob_paid"] == "-"
+        assert htlc_row["success"] == "-"
         assert htlc_row["mean_latency"] == "-"
         (weak_row,) = [r for r in table.rows if r["protocol"] == "weak"]
         assert weak_row["runs"] == 2 and weak_row["dropped"] == 0
@@ -446,7 +446,7 @@ class TestCampaignReaggregation:
         assert main(["campaign", "--from", str(tmp_path / "out"),
                      "--skip-errors"]) == 0
         out = capsys.readouterr().out
-        assert "1/3 trials failed and were skipped" in out
+        assert "1 failed trial(s) in the selection" in out
         assert "htlc" in out
 
     def test_skip_errors_still_fails_when_nothing_survived(

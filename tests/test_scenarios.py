@@ -26,7 +26,7 @@ class TestRegistry:
         assert available_protocols() == ["certified", "htlc", "timebounded", "weak"]
 
     def test_timing_names_resolve_to_models(self):
-        from repro.experiments.harness import build_timing
+        from repro.net.timing import build_timing
 
         for name in available_timings():
             model = build_timing(timing_descriptor(name))
@@ -35,7 +35,7 @@ class TestRegistry:
     def test_sync_tight_delivers_exactly_at_the_bound(self):
         """'every delay is exactly Δ=1' must be literally true — the
         docstring is what --list-axes and the docs advertise."""
-        from repro.experiments.harness import build_timing
+        from repro.net.timing import build_timing
         from repro.sim.rng import RngRegistry
 
         model = build_timing(timing_descriptor("sync-tight"))
@@ -348,7 +348,7 @@ class TestCampaignAggregation:
             if row["timing"] == "sync":
                 checked = row["def1_ok"] if row["protocol"] == "htlc" else row["def2_ok"]
                 assert checked == 1.0
-                assert row["bob_paid"] == 1.0
+                assert row["success"] == 1.0
 
     def test_run_campaign_accepts_jobs_int(self):
         a = run_campaign(self._campaign(), executor=2)

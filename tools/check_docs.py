@@ -8,8 +8,8 @@ tables that can rot.  Likewise the analysis subsystem: its metric
 registry (`repro.analysis.query.METRICS`) feeds ``--list-metrics``
 and the ``analyze --help`` epilog, and the ``analyze`` parser's flags
 are the subcommand's real interface — docs/ANALYSIS.md documents
-both, and README.md documents the campaign flags ``--resume`` and
-``--chunksize`` plus every ``repro workload`` flag.  This script
+both, and README.md documents every ``repro campaign`` and
+``repro workload`` flag, read off the same parsers.  This script
 fails (exit 1) when any registered axis name, analysis metric, or CLI
 flag is missing from the document that promises it, naming each gap.
 
@@ -35,18 +35,13 @@ DOCUMENTS = ("README.md", "docs/PAPER_MAP.md")
 #: The analysis cookbook: must mention every metric and analyze flag.
 ANALYSIS_DOCUMENT = "docs/ANALYSIS.md"
 
-#: Campaign flags each document must mention: incremental campaigns
-#: (``--resume``) where users look for campaign workflows, and the
-#: parallel chunking knob in the README's performance notes.
-CAMPAIGN_FLAGS = {
-    "README.md": ("--resume", "--chunksize"),
-    "docs/ANALYSIS.md": ("--resume",),
-}
+#: Campaign flags the analysis cookbook must mention: incremental
+#: campaigns (``--resume``) build the directories it slices.
+ANALYSIS_CAMPAIGN_FLAGS = ("--resume",)
 
-#: Document that must mention every `repro workload` flag: the
-#: concurrent-workload CLI is its own README section, and its flag set
-#: (from the same parser --help renders) must stay documented there.
-WORKLOAD_DOCUMENT = "README.md"
+#: Document that must mention every `repro campaign` and `repro
+#: workload` flag, from the same parsers --help renders.
+CLI_DOCUMENT = "README.md"
 
 
 def _read_documents(root: Path, names, problems: List[str]) -> Dict[str, str]:
@@ -64,11 +59,13 @@ def find_gaps(root: Path = ROOT) -> List[str]:
     """All (document, axis/metric/flag, name) gaps, human-readable."""
     sys.path.insert(0, str(root / "src"))
     try:
-        from repro.analysis.cli import cli_flags
+        from repro.analysis.cli import build_parser as analyze_parser
         from repro.analysis.query import METRICS
+        from repro.runtime.cli import cli_flags
+        from repro.scenarios.cli import build_parser as campaign_parser
         from repro.scenarios.registry import TOPOLOGY_BUILDERS, axis_descriptions
         from repro.sim.faults import CRASH_POINT_DOCS, CRASH_POINTS
-        from repro.workload.cli import cli_flags as workload_cli_flags
+        from repro.workload.cli import build_parser as workload_parser
     finally:
         sys.path.pop(0)
 
@@ -130,32 +127,37 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                 f"{ANALYSIS_DOCUMENT}: metric `{name}` not documented"
             )
     if analysis_text:
-        for flag in cli_flags():
-            # Accept both bare `--flag` and usage-style `--flag VALUE`.
-            if f"`{flag}`" not in analysis_text and f"`{flag} " not in analysis_text:
+        problems += _flag_gaps(
+            ANALYSIS_DOCUMENT, analysis_text, "analyze",
+            cli_flags(analyze_parser()),
+        )
+        for flag in ANALYSIS_CAMPAIGN_FLAGS:
+            if f"`{flag}`" not in analysis_text:
                 problems.append(
-                    f"{ANALYSIS_DOCUMENT}: analyze flag `{flag}` not documented"
+                    f"{ANALYSIS_DOCUMENT}: campaign flag `{flag}` not documented"
                 )
 
-    # Campaign flags that have no registry of their own.
-    campaign_texts = _read_documents(root, tuple(CAMPAIGN_FLAGS), [])
-    for rel, text in campaign_texts.items():
-        for flag in CAMPAIGN_FLAGS[rel]:
-            if f"`{flag}`" not in text:
-                problems.append(f"{rel}: campaign flag `{flag}` not documented")
-
-    # The workload CLI: every `repro workload` flag must be documented
-    # (backticked, bare or usage-style) in the README's workload
-    # section, from the same parser that --help renders.
-    workload_texts = _read_documents(root, (WORKLOAD_DOCUMENT,), problems)
-    workload_text = workload_texts.get(WORKLOAD_DOCUMENT, "")
-    if workload_text:
-        for flag in workload_cli_flags():
-            if f"`{flag}`" not in workload_text and f"`{flag} " not in workload_text:
-                problems.append(
-                    f"{WORKLOAD_DOCUMENT}: workload flag `{flag}` not documented"
-                )
+    # The run subcommands: every `repro campaign` and `repro workload`
+    # flag must be documented in the README.
+    cli_text = _read_documents(root, (CLI_DOCUMENT,), problems).get(CLI_DOCUMENT)
+    if cli_text:
+        for command, parser in (
+            ("campaign", campaign_parser()),
+            ("workload", workload_parser()),
+        ):
+            problems += _flag_gaps(
+                CLI_DOCUMENT, cli_text, command, cli_flags(parser)
+            )
     return problems
+
+
+def _flag_gaps(rel: str, text: str, command: str, flags: List[str]) -> List[str]:
+    """Flags missing from ``text``, backticked bare or usage-style."""
+    return [
+        f"{rel}: {command} flag `{flag}` not documented"
+        for flag in flags
+        if f"`{flag}`" not in text and f"`{flag} " not in text
+    ]
 
 
 def main() -> int:
@@ -167,7 +169,7 @@ def main() -> int:
             f"docs-consistency: {len(problems)} problem(s); update "
             f"{' / '.join(DOCUMENTS + (ANALYSIS_DOCUMENT,))} to match "
             "repro/scenarios/registry.py, repro/analysis/query.py, "
-            "repro/analysis/cli.py, and repro/workload/cli.py",
+            "and the campaign, workload and analyze parsers",
             file=sys.stderr,
         )
         return 1
