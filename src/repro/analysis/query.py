@@ -30,6 +30,7 @@ with no successful runs reports ``-``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -119,6 +120,21 @@ def _max_of(column: str):
     return compute
 
 
+def _union_of(column: str):
+    """Comma-joined sorted union of a list-valued column's items.
+
+    The store holds non-scalar values as JSON strings (see
+    :meth:`RecordStore.from_records`), so each cell decodes first.
+    """
+    def compute(store, ok_rows, all_rows):
+        items = set()
+        for cell in _values(store, ok_rows, column):
+            items.update(json.loads(cell))
+        return ",".join(sorted(items)) or "-"
+
+    return compute
+
+
 #: name -> Metric.  Docs are the single source for --list-metrics, the
 #: --help epilog, and the tools/check_docs.py consistency check.
 METRICS: Dict[str, Metric] = {
@@ -195,6 +211,22 @@ METRICS: Dict[str, Metric] = {
             "mean_msgs",
             "mean number of messages sent per run",
             _mean_of("messages"),
+        ),
+        Metric(
+            "mean_events",
+            "mean number of kernel events executed per run",
+            _mean_of("events"),
+        ),
+        Metric(
+            "chi_issued",
+            "fraction of runs on which a recipient signed the certificate chi",
+            _fraction_of("chi_issued"),
+        ),
+        Metric(
+            "violated",
+            "union of the properties violated in the group's runs "
+            "('-' = none)",
+            _union_of("violated_properties"),
         ),
         Metric(
             "mean_wall_seconds",

@@ -50,6 +50,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         module, _, name = SUBCOMMANDS[argv[0]].partition(":")
         return getattr(importlib.import_module(module), name)(argv[1:])
     from .experiments import EXPERIMENTS, experiment_doc
+    from .runtime.cli import write_output
     from .runtime.tables import render_table
 
     parser = argparse.ArgumentParser(
@@ -89,7 +90,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--output",
         metavar="FILE",
         default=None,
-        help="also write all rendered tables to FILE (markdown-friendly)",
+        help=(
+            "also write all rendered tables, without the timing "
+            "footers, to FILE (markdown-friendly)"
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -107,7 +111,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {unknown}; known: {sorted(EXPERIMENTS)}")
 
-    sections = []
+    mode = "full" if args.full else "quick"
+    report = f"# Experiment results ({mode} mode, seed={args.seed})\n"
     # One executor for the whole evaluation: the worker pool spins up
     # once and is reused by every experiment's sweep.
     with resolve_executor(jobs=jobs) as executor:
@@ -118,20 +123,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             elapsed = time.perf_counter() - t0
             table = render_table(result)
-            footer = f"({exp_id} completed in {elapsed:.1f}s, jobs={jobs})"
             print(table)
-            print(footer)
+            print(f"({exp_id} completed in {elapsed:.1f}s, jobs={jobs})")
             print()
-            sections.append(f"{table}\n{footer}\n")
+            # The footer's wall clock and job count stay out of the
+            # file, so it is byte-identical whatever --jobs.
+            report += f"\n```\n{table}\n```\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            mode = "full" if args.full else "quick"
-            handle.write(
-                f"# Experiment results ({mode} mode, seed={args.seed})\n\n"
-            )
-            for section in sections:
-                handle.write("```\n" + section + "```\n\n")
-        print(f"wrote {args.output}")
+        write_output(report, args.output)
     return 0
 
 

@@ -1,15 +1,24 @@
 """The reproduction's evaluation: one module per experiment (table or
-figure), plus the harness and renderer.
+figure).
 
-Every experiment module is a triple on top of :mod:`repro.runtime`:
+Every experiment module is a pair on top of :mod:`repro.runtime`:
 
 * ``build_sweep(quick, seed) -> SweepSpec`` — the declarative trial grid;
-* ``trial(spec) -> dict`` — one pure Monte-Carlo trial (runs anywhere,
-  including worker processes);
 * ``aggregate(SweepResult) -> ExperimentResult`` — the reduction to the
   paper table.
 
-``run(quick, seed, executor)`` composes the three; pass an
+E1, E3, E4, E7 and E9 run the campaign's own trial
+(:func:`repro.scenarios.trial.scenario_trial`, referenced as
+:data:`~repro.scenarios.spec.TRIAL_REF`), and each table is one
+:func:`~repro.analysis.query.analyze_store` query over the sweep's
+records, with the headline claim a predicate over that table.  The
+rest keep a module-level ``trial(spec) -> dict`` of their own, because
+their trials are different: E2 pins one escrow's clock to the drift
+extreme, E5 needs an equivocating TM object, a consensus-level attack
+and a trace read, E6 runs cross-chain *deals*, and E8 enumerates
+schedules with the explorer.
+
+``run(quick, seed, executor)`` composes the two; pass an
 :class:`~repro.runtime.Executor`, an integer job count, or nothing (the
 ``REPRO_JOBS`` environment variable then decides).
 """
@@ -27,15 +36,7 @@ from . import (
     e8_exploration,
     e9_margin,
 )
-from .harness import (
-    ExperimentResult,
-    build_timing,
-    fraction,
-    mean,
-    payment_session,
-    seeds_for,
-)
-from ..runtime.tables import render_table
+from ..runtime.tables import ExperimentResult, render_table
 
 #: id -> experiment module; the single source the registries derive from.
 _MODULES = {
@@ -82,11 +83,6 @@ __all__ = [
     "EXPERIMENTS",
     "SWEEPS",
     "ExperimentResult",
-    "build_timing",
     "experiment_doc",
-    "fraction",
-    "mean",
-    "payment_session",
     "render_table",
-    "seeds_for",
 ]

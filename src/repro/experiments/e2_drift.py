@@ -25,9 +25,12 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..clocks import extremal_clock
+from ..core.session import PaymentSession
+from ..core.topology import PaymentTopology
+from ..net.timing import build_timing
 from ..properties import check_definition1
 from ..runtime import SweepResult, SweepSpec, resolve_executor
-from .harness import ExperimentResult, fraction, payment_session, seeds_for
+from ..runtime.tables import ExperimentResult, fraction
 
 DELTA = 1.0
 EPSILON = 0.05
@@ -38,10 +41,17 @@ FAST_ESCROW = "e1"
 
 def trial(spec) -> Dict[str, Any]:
     rho = spec.opt("rho_clock")
-    session = payment_session(
-        spec,
+    # A pinned clock cannot ride in a spec, and campaign trials sample
+    # every clock, so this trial builds its own session.
+    session = PaymentSession(
+        PaymentTopology.linear(
+            spec.opt("n"), payment_id="-".join(str(c) for c in spec.coords)
+        ),
+        spec.opt("protocol"),
         # All delays exactly at the bound: the adversarially slow network
         # the calculus must survive.
+        build_timing(spec.opt("timing")),
+        seed=spec.seed,
         clocks={FAST_ESCROW: extremal_clock(rho, fast=True)},
         protocol_options={
             "epsilon": EPSILON,
@@ -83,7 +93,7 @@ def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
         axes={
             "rho_clock": rhos,
             "drift_tuned": [False, True],
-            "s": seeds_for(quick, quick_count=5, full_count=15),
+            "s": range(5 if quick else 15),
         },
         n=N,
         protocol="timebounded",

@@ -18,146 +18,98 @@ the same adversary: it aborts safely and terminates.
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
+from ..analysis.query import analyze_store
+from ..analysis.store import RecordStore
 from ..core.params import TimingAssumptions, compute_params
-from ..properties import check_definition1, check_definition2
 from ..runtime import SweepResult, SweepSpec, resolve_executor
-from .harness import ExperimentResult, payment_session
+from ..runtime.tables import ExperimentResult
+from ..scenarios.spec import TRIAL_REF
 
 EPSILON = 0.05
 N = 3
 
 
-def trial(spec) -> Dict[str, Any]:
-    from ..net.adversary import CertificateWithholdingAdversary
-
-    variant = spec.opt("variant")
-    if variant == "bounded":
-        assumed = spec.opt("assumed_delta")
-        params = compute_params(
-            N, TimingAssumptions(delta=assumed, epsilon=EPSILON, rho=0.0)
-        )
-        # Adaptive adversary: pick GST beyond the whole timeout horizon.
-        gst = 4.0 * params.global_termination_bound()
-        session = payment_session(
-            spec,
-            timing=("partial", {"gst": gst, "delta": 1.0}),
-            adversary=CertificateWithholdingAdversary(),
-            protocol_options={"delta": assumed, "epsilon": EPSILON},
-        )
-        outcome = session.run()
-        report = check_definition1(outcome)
-    elif variant == "no_timeout":
-        gst = spec.opt("gst")
-        session = payment_session(
-            spec, adversary=CertificateWithholdingAdversary()
-        )
-        outcome = session.run()
-        report = check_definition1(outcome)
-    elif variant == "weak":
-        gst = spec.opt("gst")
-        session = payment_session(
-            spec, adversary=CertificateWithholdingAdversary()
-        )
-        outcome = session.run()
-        report = check_definition2(outcome, patient=False)
-    else:  # pragma: no cover - builder/trial mismatch
-        raise ValueError(f"unknown E3 variant: {variant!r}")
-    return {
-        "gst": gst,
-        "chi_issued": outcome.chi_issued(),
-        "bob_paid": outcome.bob_paid,
-        "def_ok": report.all_ok,
-        "violated": ",".join(
-            sorted(v.property_id.value for v in report.violations())
-        )
-        or "-",
-    }
+def _add(sweep: SweepSpec, seed: int, coords, gst: float, **options) -> None:
+    """One run on the n=3 path against the certificate-withholding adversary."""
+    sweep.add(
+        TRIAL_REF,
+        seed,
+        coords,
+        gst=gst,
+        topology=f"linear-{N}",
+        timing=("partial", {"gst": gst, "delta": 1.0}),
+        adversary="cert-holder",
+        **options,
+    )
 
 
 def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
     sweep = SweepSpec(sweep_id="E3")
-    assumed_deltas = [1.0, 10.0] if quick else [1.0, 10.0, 100.0]
-    for assumed in assumed_deltas:
-        sweep.add(
-            trial,
+    for assumed in [1.0, 10.0] if quick else [1.0, 10.0, 100.0]:
+        params = compute_params(
+            N, TimingAssumptions(delta=assumed, epsilon=EPSILON, rho=0.0)
+        )
+        # Adaptive adversary: pick GST beyond the whole timeout horizon.
+        _add(
+            sweep,
             seed,
             ("bounded", assumed),
-            variant="bounded",
-            assumed_delta=assumed,
+            4.0 * params.global_termination_bound(),
             protocol_label="timebounded",
-            n=N,
+            assumed_delta=assumed,
             protocol="timebounded",
-            payment_id=f"e3-{assumed}",
+            protocol_options={"delta": assumed, "epsilon": EPSILON},
         )
     # The no-timeout horn: money stays escrowed, nobody terminates.
-    sweep.add(
-        trial,
+    _add(
+        sweep,
         seed,
         ("no_timeout",),
-        variant="no_timeout",
-        assumed_delta="inf",
+        5_000.0,
         protocol_label="timebounded/no-timeout",
-        n=N,
+        assumed_delta="inf",
         protocol="timebounded",
-        timing=("partial", {"gst": 5_000.0, "delta": 1.0}),
-        gst=5_000.0,
         horizon=20_000.0,
         protocol_options={"delta": 1.0, "epsilon": EPSILON, "no_timeout": True},
-        payment_id="e3-notimeout",
     )
     # Contrast: the Definition 2 protocol under the same adversary.
-    sweep.add(
-        trial,
+    _add(
+        sweep,
         seed,
         ("weak",),
-        variant="weak",
-        assumed_delta="-",
+        500.0,
         protocol_label="weak (Def 2)",
-        n=N,
+        assumed_delta="-",
         protocol="weak",
-        timing=("partial", {"gst": 500.0, "delta": 1.0}),
-        gst=500.0,
         horizon=50_000.0,
         protocol_options={
             "tm": "trusted",
             "patience_setup": 50.0,
             "patience_decision": 50.0,
         },
-        payment_id="e3-weak",
     )
     return sweep
 
 
 def aggregate(sweep: SweepResult) -> ExperimentResult:
-    result = ExperimentResult(
-        exp_id="E3",
-        title="no eventually-terminating protocol under partial synchrony (Theorem 2)",
-        claim=(
-            "For every timeout choice, a legal partial-synchrony adversary "
-            "forces a Definition 1 violation (safety/liveness for finite "
-            "timeouts; termination for none).  The weak protocol survives."
-        ),
-        columns=[
-            "protocol", "assumed_delta", "gst", "chi_issued", "bob_paid",
-            "def_ok", "violated",
-        ],
-    )
     sweep.raise_any()
-    for record in sweep:
-        result.add_row(
-            protocol=record.spec.opt("protocol_label"),
-            assumed_delta=record.spec.opt("assumed_delta"),
-            gst=record["gst"],
-            chi_issued=record["chi_issued"],
-            bob_paid=record["bob_paid"],
-            def_ok=record["def_ok"],
-            violated=record["violated"],
-        )
+    result = analyze_store(
+        RecordStore.from_records(sweep.records, sweep.sweep_id),
+        group_by=("protocol_label", "assumed_delta", "gst"),
+        metrics=("chi_issued", "success", "def1_ok", "def2_ok", "violated"),
+    )
+    result.title = (
+        "no eventually-terminating protocol under partial synchrony (Theorem 2)"
+    )
+    result.claim = (
+        "For every timeout choice, a legal partial-synchrony adversary "
+        "forces a Definition 1 violation (safety/liveness for finite "
+        "timeouts; termination for none).  The weak protocol survives."
+    )
     result.note(
         "the adversary holds every chi message as long as the timing model "
-        "allows; GST is chosen adaptively per protocol instance."
+        "allows; GST is chosen adaptively per protocol instance; one run "
+        "per row, so each fraction is that run's verdict."
     )
     return result
 
@@ -166,4 +118,4 @@ def run(quick: bool = True, seed: int = 0, executor=None) -> ExperimentResult:
     return aggregate(resolve_executor(executor).run(build_sweep(quick, seed)))
 
 
-__all__ = ["aggregate", "build_sweep", "run", "trial"]
+__all__ = ["aggregate", "build_sweep", "run"]

@@ -4,15 +4,19 @@ Patience sweep under partial synchrony (trusted TM): impatient
 customers abort *safely*; patient ones commit.  Byzantine rows show the
 conditional safety clauses doing their job — no honest participant with
 honest escrows ever loses value, whatever the deviation.
+
+Every trial is a campaign trial (``scenario_trial``); ``def2_ok`` is
+its Definition 2 verdict, whose weak-liveness clause binds only when
+the patience exceeds GST + 10 Δ (the Byzantine rows' 30 does not).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from ..properties import check_definition2
+from ..analysis.query import analyze_store
+from ..analysis.store import RecordStore
 from ..runtime import SweepResult, SweepSpec, resolve_executor
-from .harness import ExperimentResult, fraction, seeds_for, payment_session
+from ..runtime.tables import ExperimentResult
+from ..scenarios.spec import TRIAL_REF
 
 N = 3
 GST = 40.0
@@ -25,29 +29,25 @@ BYZ_CASES = [
 ]
 
 
-def trial(spec) -> Dict[str, Any]:
-    patience = spec.opt("patience")
-    outcome = payment_session(
-        spec,
+def _add(sweep: SweepSpec, seed: int, coords, patience: float, **options) -> None:
+    sweep.add(
+        TRIAL_REF,
+        seed,
+        coords,
+        patience=patience,
+        topology=f"linear-{N}",
+        protocol="weak",
+        timing=("partial", {"gst": GST, "delta": DELTA}),
+        adversary="none",
+        rho=0.01,
+        horizon=100_000.0,
         protocol_options={
             "tm": "trusted",
             "patience_setup": patience,
             "patience_decision": patience,
         },
-    ).run()
-    if spec.opt("byzantine"):
-        patient = False
-    else:
-        # "Patient enough" in this world = patience comfortably past
-        # GST + decision round-trips:
-        patient = patience > GST + 10 * DELTA
-    report = check_definition2(outcome, patient=patient)
-    return {
-        "committed": "commit" in outcome.decision_kinds_issued(),
-        "bob_paid": outcome.bob_paid,
-        "safe": report.all_ok,
-        "props": sorted(v.property_id.value for v in report.violations()),
-    }
+        **options,
+    )
 
 
 def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
@@ -59,72 +59,29 @@ def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
         if quick
         else [2.0, 5.0, 15.0, 30.0, 100.0, 5000.0]
     )
-    common = dict(
-        n=N,
-        protocol="weak",
-        timing=("partial", {"gst": GST, "delta": DELTA}),
-        rho=0.01,
-        horizon=100_000.0,
-    )
-    sweep = SweepSpec.grid(
-        "E4",
-        trial,
-        seed,
-        axes={
-            "patience": patience_values,
-            "s": seeds_for(quick, quick_count=8, full_count=25),
-        },
-        scenario="honest",
-        **common,
-    )
+    sweep = SweepSpec(sweep_id="E4")
+    for patience in patience_values:
+        for s in range(8 if quick else 25):
+            _add(sweep, seed, (patience, s), patience, scenario="honest")
     for label, byz in BYZ_CASES:
-        for s in seeds_for(quick, quick_count=5, full_count=15):
-            sweep.add(
-                trial,
-                seed,
-                (label, s),
-                scenario=label,
-                patience=30.0,
-                byzantine=byz,
-                **common,
-            )
+        for s in range(5 if quick else 15):
+            _add(sweep, seed, (label, s), 30.0, scenario=label, byzantine=byz)
     return sweep
 
 
 def aggregate(sweep: SweepResult) -> ExperimentResult:
-    result = ExperimentResult(
-        exp_id="E4",
-        title="weak-liveness protocol under partial synchrony (Theorem 3)",
-        claim=(
-            "Safety (C, CC, ES, CS1-3) holds on every run; commit happens "
-            "exactly when customers out-wait the delays (weak liveness); "
-            "impatient or Byzantine runs abort without losses."
-        ),
-        columns=[
-            "scenario", "patience", "runs", "committed", "bob_paid",
-            "safety_ok", "violated",
-        ],
-    )
     sweep.raise_any()
-    for scenario in sweep.distinct("scenario"):
-        patiences: list = []
-        for record in sweep.select(scenario=scenario):
-            if record.spec.opt("patience") not in patiences:
-                patiences.append(record.spec.opt("patience"))
-        for patience in patiences:
-            records = sweep.select(scenario=scenario, patience=patience)
-            props: set = set()
-            for record in records:
-                props |= set(record["props"])
-            result.add_row(
-                scenario=scenario,
-                patience=patience,
-                runs=len(records),
-                committed=fraction(r["committed"] for r in records),
-                bob_paid=fraction(r["bob_paid"] for r in records),
-                safety_ok=fraction(r["safe"] for r in records),
-                violated=",".join(sorted(props)) or "-",
-            )
+    result = analyze_store(
+        RecordStore.from_records(sweep.records, sweep.sweep_id),
+        group_by=("scenario", "patience"),
+        metrics=("runs", "committed", "success", "def2_ok", "violated"),
+    )
+    result.title = "weak-liveness protocol under partial synchrony (Theorem 3)"
+    result.claim = (
+        "Safety (C, CC, ES, CS1-3) holds on every run; commit happens "
+        "exactly when customers out-wait the delays (weak liveness); "
+        "impatient or Byzantine runs abort without losses."
+    )
     result.note(f"n={N} escrows, GST={GST}, delta={DELTA}, trusted-party TM.")
     return result
 
@@ -133,4 +90,4 @@ def run(quick: bool = True, seed: int = 0, executor=None) -> ExperimentResult:
     return aggregate(resolve_executor(executor).run(build_sweep(quick, seed)))
 
 
-__all__ = ["aggregate", "build_sweep", "run", "trial"]
+__all__ = ["aggregate", "build_sweep", "run"]

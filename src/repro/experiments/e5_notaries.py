@@ -19,15 +19,17 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from ..consensus.dls import Notary, NotaryBehavior
+from ..core.session import PaymentSession
+from ..core.topology import PaymentTopology
 from ..crypto.certificates import Decision
 from ..crypto.keys import KeyRing
 from ..net.network import Network
-from ..net.timing import PartialSynchrony
+from ..net.timing import PartialSynchrony, build_timing
 from ..properties import check_definition2
 from ..runtime import SweepResult, SweepSpec, resolve_executor
+from ..runtime.tables import ExperimentResult
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceKind
-from .harness import ExperimentResult, payment_session
 
 N_ESCROWS = 2
 
@@ -137,11 +139,14 @@ def trial(spec) -> Dict[str, Any]:
         tm: Any = TrustedPartyBackend(equivocate=True)
     else:
         tm = spec.opt("tm")
-        # Specs carry plain lists; the TM registry expects tuples.
-        if isinstance(tm, (list, tuple)):
-            tm = (tm[0], dict(tm[1]))
-    outcome = payment_session(
-        spec,
+    # An equivocating TM object and a trace read (decision_time) are
+    # beyond the campaign trial, so this trial builds its own session.
+    outcome = PaymentSession(
+        PaymentTopology.linear(spec.opt("n"), payment_id=spec.opt("payment_id")),
+        spec.opt("protocol"),
+        build_timing(spec.opt("timing")),
+        seed=spec.seed,
+        horizon=spec.opt("horizon"),
         protocol_options={
             "tm": tm,
             "patience_setup": 10_000.0,

@@ -24,8 +24,9 @@ from ..deals import (
     build_timelock_deal,
     separation_report,
 )
+from ..net.timing import build_timing
 from ..runtime import SweepResult, SweepSpec, resolve_executor
-from .harness import ExperimentResult, build_timing, fraction, seeds_for
+from ..runtime.tables import ExperimentResult, fraction
 
 SCENARIOS = [
     ("timelock", "synchronous", "honest"),
@@ -86,7 +87,7 @@ def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
     sweep = SweepSpec(sweep_id="E6")
     for graph in graphs:
         # Timelock, synchrony, honest — the only sampled scenario:
-        for s in seeds_for(quick, quick_count=5, full_count=15):
+        for s in range(5 if quick else 15):
             sweep.add(
                 trial,
                 seed,

@@ -14,11 +14,11 @@ from ..core.topology import PaymentTopology
 from ..net.message import MsgKind
 from ..net.timing import Synchronous
 from ..runtime import SweepResult, SweepSpec, resolve_executor
+from ..runtime.tables import ExperimentResult
 from ..verification.properties import (
     definition1_violations,
     definition2_violations,
 )
-from .harness import ExperimentResult
 
 #: check name (in trial specs) -> shared violation-listing callable.
 _CHECKS = {"def1": definition1_violations, "def2": definition2_violations}

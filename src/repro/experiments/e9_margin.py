@@ -13,46 +13,26 @@ to every ``a_i`` / ``d_i``.  The trade-off it buys:
 
 This is the kind of deployment decision a paper leaves implicit and a
 library must surface.
+
+Each margin contributes an honest row and a refund row (Bob
+``bob_never_signs``); ``max_latency`` is the worst-case completion
+time of each, and ``a0_window`` / ``term_bound`` are the window
+calculus's values for that margin.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from ..properties import check_definition1
+from ..analysis.query import analyze_store
+from ..analysis.store import RecordStore
+from ..core.params import TimingAssumptions, compute_params
 from ..runtime import SweepResult, SweepSpec, resolve_executor
-from .harness import ExperimentResult, fraction, payment_session, seeds_for
+from ..runtime.tables import ExperimentResult
+from ..scenarios.spec import TRIAL_REF
 
 DELTA = 1.0
 EPSILON = 0.05
 N = 3
-
-
-def trial(spec) -> Dict[str, Any]:
-    protocol_options = {"epsilon": EPSILON, "margin": spec.opt("margin")}
-    # Happy path: everyone honest.
-    session = payment_session(spec, protocol_options=protocol_options)
-    outcome = session.run()
-    params = session.protocol_instance.params
-    bound = params.global_termination_bound()
-    # Failure path: Bob withholds chi; refunds must wait out the full
-    # windows.  (Bob is the last customer on the linear path.)
-    session2 = payment_session(
-        spec,
-        protocol_options=protocol_options,
-        payment_id=f"refund-{'-'.join(str(c) for c in spec.coords)}",
-        byzantine={f"c{spec.opt('n')}": "bob_never_signs"},
-    )
-    outcome2 = session2.run()
-    return {
-        "a0": params.a_i(0),
-        "bound": bound,
-        "honest_ok": check_definition1(
-            outcome, termination_bound=bound
-        ).all_ok,
-        "honest_end": outcome.end_time,
-        "refund_end": outcome2.end_time,
-    }
+RHO = 0.01
 
 
 def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
@@ -61,49 +41,55 @@ def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
         if quick
         else [0.025, 0.1, 0.25, 1.0, 2.0, 4.0, 8.0]
     )
-    return SweepSpec.grid(
-        "E9",
-        trial,
-        seed,
-        axes={
-            "margin": margins,
-            "s": seeds_for(quick, quick_count=5, full_count=12),
-        },
-        n=N,
-        protocol="timebounded",
-        timing=("synchronous", {"delta": DELTA}),
-        rho=0.01,
-    )
+    sweep = SweepSpec(sweep_id="E9")
+    for margin in margins:
+        # The refund rows keep the historical (margin, s) coordinates,
+        # and so their seeds; the honest rows are tagged apart.
+        for coords, scenario, byzantine in (
+            (("honest", margin), "honest", None),
+            ((margin,), "bob never signs", {f"c{N}": "bob_never_signs"}),
+        ):
+            for s in range(5 if quick else 12):
+                sweep.add(
+                    TRIAL_REF,
+                    seed,
+                    coords + (s,),
+                    margin=margin,
+                    scenario=scenario,
+                    byzantine=byzantine,
+                    topology=f"linear-{N}",
+                    protocol="timebounded",
+                    timing=("synchronous", {"delta": DELTA}),
+                    adversary="none",
+                    rho=RHO,
+                    protocol_options={"epsilon": EPSILON, "margin": margin},
+                )
+    return sweep
 
 
 def aggregate(sweep: SweepResult) -> ExperimentResult:
-    result = ExperimentResult(
-        exp_id="E9",
-        title="ablation: timeout margin vs refund latency",
-        claim=(
-            "larger margins change nothing on the happy path but "
-            "linearly delay refunds (and the termination bound) when the "
-            "certificate never comes."
-        ),
-        columns=[
-            "margin", "a0_window", "term_bound", "honest_ok",
-            "honest_end", "refund_end",
-        ],
-    )
     sweep.raise_any()
-    for margin in sweep.distinct("margin"):
-        records = sweep.select(margin=margin)
-        result.add_row(
-            margin=margin,
-            a0_window=records[-1]["a0"],
-            term_bound=records[-1]["bound"],
-            honest_ok=fraction(r["honest_ok"] for r in records),
-            honest_end=max(r["honest_end"] for r in records),
-            refund_end=max(r["refund_end"] for r in records),
-        )
+    result = analyze_store(
+        RecordStore.from_records(sweep.records, sweep.sweep_id),
+        group_by=("margin", "scenario"),
+        metrics=("runs", "def1_ok", "max_latency"),
+    )
+    result.title = "ablation: timeout margin vs refund latency"
+    result.claim = (
+        "larger margins change nothing on the happy path but "
+        "linearly delay refunds (and the termination bound) when the "
+        "certificate never comes."
+    )
+    result.columns[2:2] = ["a0_window", "term_bound"]
+    assumptions = TimingAssumptions(delta=DELTA, epsilon=EPSILON, rho=RHO)
+    for row in result.rows:
+        params = compute_params(N, assumptions, margin=row["margin"])
+        row["a0_window"] = params.a_i(0)
+        row["term_bound"] = params.global_termination_bound()
     result.note(
-        f"n={N}, delta={DELTA}, epsilon={EPSILON}, rho=1%; refund_end is "
-        "the worst-case completion time when Bob never signs."
+        f"n={N}, delta={DELTA}, epsilon={EPSILON}, rho={RHO}; max_latency "
+        "is the worst-case completion time (on the 'bob never signs' "
+        "rows: the refund latency when Bob withholds chi)."
     )
     return result
 
@@ -112,4 +98,4 @@ def run(quick: bool = True, seed: int = 0, executor=None) -> ExperimentResult:
     return aggregate(resolve_executor(executor).run(build_sweep(quick, seed)))
 
 
-__all__ = ["aggregate", "build_sweep", "run", "trial"]
+__all__ = ["aggregate", "build_sweep", "run"]

@@ -497,11 +497,12 @@ def make_backend(spec: Any) -> TMBackend:
 
     Accepts a ready :class:`TMBackend`, or one of the strings
     ``"trusted"``, ``"contract"``, ``"committee"`` (with defaults), or a
-    tuple ``(name, kwargs)``.
+    pair ``(name, kwargs)`` — as a tuple, or as the 2-item list that
+    JSON options (``--set``, persisted records) carry.
     """
     if isinstance(spec, TMBackend):
         return spec
-    if isinstance(spec, tuple):
+    if isinstance(spec, (tuple, list)) and len(spec) == 2:
         name, kwargs = spec
     else:
         name, kwargs = str(spec), {}

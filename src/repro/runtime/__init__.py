@@ -19,14 +19,16 @@ The layers, assembled bottom-up:
   re-running any trial;
 * :mod:`~repro.runtime.tables` — the :class:`ExperimentResult` table
   every sweep reduces into, and its fixed-width renderer;
-* :mod:`~repro.runtime.cli` — the run flags, run-to-directory loop and
-  ``--output`` writer the ``campaign`` and ``workload`` subcommands
-  share.
+* :mod:`~repro.runtime.cli` — the run flags and run-to-directory loop
+  the ``campaign`` and ``workload`` subcommands share, and the
+  ``--output`` writer every subcommand and the experiment CLI use.
 
 Every experiment module in :mod:`repro.experiments` is a thin
-``build_sweep`` + trial function + ``aggregate`` triple on top of this
-package; the CLI's ``--jobs`` flag and the ``REPRO_JOBS`` environment
-variable choose the executor.
+``build_sweep`` + ``aggregate`` pair on top of this package; E1, E3,
+E4, E7 and E9 point their trials at the campaign trial and aggregate
+through an ``analyze`` query, the others bring a trial function of
+their own.  The CLI's ``--jobs`` flag and the ``REPRO_JOBS``
+environment variable choose the executor.
 """
 
 from .aggregate import SweepResult, TrialError, TrialRecord

@@ -5,7 +5,8 @@ executor, stream its records to an ``--out`` directory (growing one
 with ``--resume``) under one manifest, and print a table (also to
 ``--output``).  All of that lives here.  What differs stays with the
 caller: how a resume diffs the request against persisted records, and
-how records reduce to a table.
+how records reduce to a table.  ``repro analyze`` and the experiment
+CLI write their ``--output`` files through :func:`write_output` too.
 """
 
 from __future__ import annotations

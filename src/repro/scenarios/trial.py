@@ -139,6 +139,7 @@ def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
         adversary=adversary,
         seed=spec.seed,
         rho=spec.opt("rho", 0.0),
+        byzantine=spec.opt("byzantine"),
         horizon=spec.opt("horizon"),
         protocol_options=dict(spec.opt("protocol_options") or {}),
         trace_kinds=trace_kinds,

@@ -297,6 +297,24 @@ class TestAnalyzeMatchesCampaign:
             assert row["mean_latency"] == match["mean_latency"]
 
 
+    def test_persisted_experiment_table_reloads_identically(self, tmp_path):
+        """E4's table is an analyze query: querying its persisted,
+        reloaded records renders the same table."""
+        from repro.experiments import e4_weak
+
+        sweep = SerialExecutor().run(e4_weak.build_sweep(quick=True, seed=0))
+        live = e4_weak.aggregate(sweep)
+        write_sweep_result(sweep, tmp_path / "e4")
+        reloaded = analyze_store(
+            RecordStore.load(tmp_path / "e4"),
+            group_by=live.columns[:2],
+            metrics=live.columns[2:],
+        )
+        reloaded.title, reloaded.claim = live.title, live.claim
+        reloaded.notes = live.notes
+        assert render_table(reloaded) == render_table(live)
+
+
 class TestRenderers:
     def _table(self, tmp_path):
         out, _ = _persisted(tmp_path)

@@ -111,6 +111,25 @@ def test_honest_and_crash_cells_share_one_arena():
     assert before == after
 
 
+def test_byzantine_option_reaches_the_session():
+    """The ``byzantine`` trial option marks participants Byzantine (E4
+    and E9 rely on it); an honest trial on the same arena afterwards
+    must be unaffected."""
+    trial_module._ARENAS.clear()
+    honest = _spec("timebounded", "linear-3")
+    bob_never_signs = TrialSpec(
+        fn=honest.fn,
+        coords=honest.coords,
+        seed=honest.seed,
+        options={**honest.options, "byzantine": {"c3": "bob_never_signs"}},
+    )
+    before = _record_bytes(scenario_trial(honest))
+    record = scenario_trial(bob_never_signs)
+    assert record["bob_paid"] is False
+    assert record["def1_ok"] is True
+    assert _record_bytes(scenario_trial(honest)) == before
+
+
 # -- full-trace identity ---------------------------------------------------
 
 

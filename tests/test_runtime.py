@@ -20,6 +20,7 @@ from repro.runtime import (
     trial_ref,
 )
 from repro.runtime.testing import echo_trial, failing_trial
+from repro.scenarios.spec import TRIAL_REF
 
 
 class TestDeriveSeed:
@@ -214,6 +215,12 @@ class TestExperimentParity:
         assert render_table(module.aggregate(serial)) == render_table(
             module.aggregate(parallel)
         )
+
+    def test_campaign_backed_experiments_run_the_campaign_trial(self):
+        for exp_id in ("E1", "E3", "E4", "E7", "E9"):
+            for quick in (True, False):
+                sweep = SWEEPS[exp_id](quick=quick, seed=0)
+                assert {spec.fn for spec in sweep} == {TRIAL_REF}, exp_id
 
     def test_run_accepts_jobs_int(self):
         a = e1_synchrony.run(quick=True, seed=0, executor=2)

@@ -6,7 +6,11 @@ from repro.core.session import PaymentSession
 from repro.core.topology import PaymentTopology
 from repro.net.timing import PartialSynchrony, Synchronous
 from repro.properties import check_definition2
-from repro.protocols.weak.tm import TrustedPartyBackend
+from repro.protocols.weak.tm import (
+    ContractBackend,
+    TrustedPartyBackend,
+    make_backend,
+)
 
 
 def _run(n=3, seed=0, tm="trusted", patience=5000.0, timing=None, horizon=100_000.0, **kwargs):
@@ -109,6 +113,13 @@ class TestByzantineCustomers:
 
 
 class TestBackends:
+    def test_backend_spec_as_json_list(self):
+        """``--set`` and persisted options carry ``(name, kwargs)`` as a
+        2-item list; it must resolve like the tuple."""
+        backend = make_backend(["contract", {"block_interval": 2.0, "confirmations": 3}])
+        assert isinstance(backend, ContractBackend)
+        assert (backend.block_interval, backend.confirmations) == (2.0, 3)
+
     def test_contract_tm_commits_with_finality_latency(self):
         outcome = _run(
             seed=6,
