@@ -3,7 +3,7 @@ and standard contracts."""
 
 from .account import Account
 from .asset import Amount, amount
-from .blockchain import Block, CallContext, Contract, Receipt, SimpleChain, Transaction
+from .blockchain import CallContext, Contract, Receipt, SimpleChain, Transaction
 from .contracts import (
     CertifiedBroadcastContract,
     HTLCContract,
@@ -16,7 +16,6 @@ from .ledger import EscrowLock, Ledger, LockState
 __all__ = [
     "Account",
     "Amount",
-    "Block",
     "CallContext",
     "CertifiedBroadcastContract",
     "Contract",

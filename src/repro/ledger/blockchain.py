@@ -4,7 +4,9 @@ The weak-liveness protocol's transaction manager "can be a smart
 contract running on a permissionless blockchain shared by every
 customer" (paper §3).  :class:`SimpleChain` supplies that substrate:
 
-* blocks are produced every ``block_interval`` time units;
+* block times lie on a fixed schedule, one every ``block_interval``
+  time units, but only blocks that carry a transaction are produced —
+  an empty block is just a height, so an idle chain costs no events;
 * submitted transactions enter the next block (bounded mempool delay);
 * a transaction's effects are *final* once ``confirmations`` further
   blocks exist; observers are notified at finality, not at inclusion —
@@ -15,13 +17,15 @@ customer" (paper §3).  :class:`SimpleChain` supplies that substrate:
 The chain is also a :class:`~repro.sim.process.Process`, so remote
 participants can interact with it through the network (submission via
 ``CONTROL`` envelopes), while co-located participants may call
-:meth:`submit` directly — both paths serialise through the mempool.
+:meth:`SimpleChain.submit` directly — both paths serialise through the
+mempool.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import BlockchainError, ContractError
@@ -32,11 +36,6 @@ from ..sim.trace import TraceKind
 from .ledger import Ledger
 
 _TX_SEQ = itertools.count()
-
-# Hoisted enum member: ``TraceKind.STATE`` is read once per produced
-# block, and enum member access goes through a descriptor — measurable
-# at campaign block-tick rates.
-_STATE = TraceKind.STATE
 
 
 @dataclass(frozen=True)
@@ -49,15 +48,6 @@ class Transaction:
     method: str
     args: Dict[str, Any]
     submitted_at: float
-
-
-@dataclass(frozen=True)
-class Block:
-    """An ordered batch of executed transactions."""
-
-    height: int
-    produced_at: float
-    txs: Tuple[Transaction, ...]
 
 
 @dataclass
@@ -102,6 +92,19 @@ class Contract:
 class SimpleChain(Process):
     """A block-producing process hosting contracts and a ledger.
 
+    Blocks sit on a fixed schedule — the first ``block_interval`` after
+    :meth:`start`, each later one the previous plus ``block_interval``
+    — but a block is produced only when a transaction waits for it: the
+    ``produce`` timer is armed when the mempool goes from empty to
+    non-empty, and is not re-armed.  :attr:`height` counts the empty
+    block times arithmetically.
+
+    At exactly a block time ``T`` the order of an always-ticking chain
+    holds: block ``T`` is produced at TIMER priority, so a remote
+    submission (a network delivery, at DELIVERY priority) joins block
+    ``T``, while a direct :meth:`submit` at ``T`` (e.g. after
+    ``sim.run(until=T)``) joins the next block.
+
     Parameters
     ----------
     sim:
@@ -129,25 +132,29 @@ class SimpleChain(Process):
         self.block_interval = float(block_interval)
         self.confirmations = int(confirmations)
         self.ledger = Ledger(name=f"{name}.ledger", sim=sim)
-        self.blocks: List[Block] = []
         self.receipts: Dict[int, Receipt] = {}
         self._mempool: List[Transaction] = []
         self._contracts: Dict[str, Contract] = {}
         self._finality_subs: List[Callable[[Receipt], None]] = []
         self._started = False
+        # The next block on the schedule not yet produced: its time
+        # (infinite until start) and its height.
+        self._tick_at = math.inf
+        self._tick_height = 0
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Begin producing blocks."""
+        """Fix the block schedule; the first block is one interval away."""
         if not self._started:
             self._started = True
-            self.set_timer("produce", self.block_interval)
+            self._tick_at = self.sim.now + self.block_interval
+            if self._mempool:
+                self.set_timer_at("produce", self._tick_at)
 
     def on_timer(self, timer_id: str) -> None:
         if timer_id == "produce":
             self._produce_block()
-            self.set_timer("produce", self.block_interval)
 
     # -- contracts ------------------------------------------------------------
 
@@ -173,33 +180,65 @@ class SimpleChain(Process):
         contract: str,
         method: str,
         args: Optional[Dict[str, Any]] = None,
+        *,
+        delivered: bool = False,
     ) -> Transaction:
-        """Queue a transaction for the next block (direct local access)."""
+        """Queue a transaction for the next block (direct local access).
+
+        ``delivered`` marks a submission arriving as a network delivery
+        (:meth:`handle_message`): at exactly a block time it joins that
+        block rather than the next (see the class docstring).
+        """
         if contract not in self._contracts:
             raise BlockchainError(f"no contract at {contract!r}")
+        now = self.sim.now
         tx = Transaction(
             tx_id=next(_TX_SEQ),
             sender=sender,
             contract=contract,
             method=method,
             args=dict(args or {}),
-            submitted_at=self.sim.now,
+            submitted_at=now,
         )
-        self._mempool.append(tx)
+        mempool = self._mempool
+        mempool.append(tx)
+        if len(mempool) == 1 and self._started:
+            self._tick_at, self._tick_height = self._next_block(
+                now, passed_at_now=not delivered
+            )
+            self.set_timer_at("produce", self._tick_at)
         return tx
 
     def handle_message(self, message: Envelope) -> None:
-        """Remote submission: CONTROL envelopes carrying tx descriptors."""
+        """Remote submission: CONTROL envelopes carrying tx descriptors.
+
+        Any participant can send one, so a malformed descriptor — no
+        contract or method name, a contract that is not deployed, or
+        ``args`` that is not a dict — is dropped with a NOTE instead of
+        raising out of the simulation.
+        """
         if message.kind is not MsgKind.CONTROL:
             return
         payload = message.payload
         if not isinstance(payload, dict) or payload.get("op") != "submit_tx":
             return
+        contract = payload.get("contract")
+        method = payload.get("method")
+        args = payload.get("args", {})
+        if not (
+            isinstance(contract, str)
+            and contract in self._contracts
+            and isinstance(method, str)
+            and isinstance(args, dict)
+        ):
+            self.note("malformed submit_tx dropped", sender=message.sender)
+            return
         self.submit(
             sender=message.sender,
-            contract=payload["contract"],
-            method=payload["method"],
-            args=payload.get("args", {}),
+            contract=contract,
+            method=method,
+            args=args,
+            delivered=True,
         )
 
     # -- finality notifications -----------------------------------------------------
@@ -210,83 +249,62 @@ class SimpleChain(Process):
 
     # -- block production ----------------------------------------------------------
 
-    def _produce_block(self) -> Block:
+    def _produce_block(self) -> None:
         sim = self.sim
         now = sim.now
-        height = len(self.blocks)
-        mempool = self._mempool
-        if mempool:
-            txs = tuple(mempool)
-            mempool.clear()
-        else:
-            # Most blocks in a campaign are empty ticks: skip the
-            # mempool copy and the per-tx machinery below entirely.
-            txs = ()
-        block = Block(height=height, produced_at=now, txs=txs)
-        self.blocks.append(block)
-        # Block ticks dominate campaign event counts; reduced-mode
-        # recorders filter STATE anyway, so checking the keep set here
-        # skips the record call (and its kwargs dict) per empty tick.
-        trace = sim.trace
-        keep = trace._keep
-        if keep is None or _STATE in keep:
-            trace.record(
-                now,
-                _STATE,
-                self.name,
-                state="block",
-                height=height,
-                txs=len(txs),
+        height = self._tick_height
+        self._tick_height = height + 1
+        self._tick_at = now + self.block_interval
+        txs = tuple(self._mempool)
+        self._mempool.clear()
+        sim.trace.record(
+            now, TraceKind.STATE, self.name, state="block", height=height, txs=len(txs)
+        )
+        final_at = now + self.confirmations * self.block_interval
+        for tx in txs:
+            receipt = Receipt(
+                tx=tx, block_height=height, executed_at=now, final_at=final_at, ok=True
             )
-        if txs:
-            final_at = now + self.confirmations * self.block_interval
-            ctx_base = dict(block_height=height, block_time=block.produced_at)
-            for tx in txs:
-                receipt = self._execute(tx, block, final_at, ctx_base)
-                self.receipts[tx.tx_id] = receipt
-                for callback in list(self._finality_subs):
-                    sim.schedule_at(
-                        final_at,
-                        callback,
-                        receipt,
-                        label=f"{self.name}.finality.tx{tx.tx_id}",
-                    )
-        return block
-
-    def _execute(
-        self,
-        tx: Transaction,
-        block: Block,
-        final_at: float,
-        ctx_base: Dict[str, Any],
-    ) -> Receipt:
-        ctx = CallContext(chain=self, sender=tx.sender, **ctx_base)
-        try:
-            result = self._contracts[tx.contract].call(ctx, tx.method, tx.args)
-            return Receipt(
-                tx=tx,
-                block_height=block.height,
-                executed_at=block.produced_at,
-                final_at=final_at,
-                ok=True,
-                result=result,
+            ctx = CallContext(
+                chain=self, sender=tx.sender, block_height=height, block_time=now
             )
-        except ContractError as exc:
-            return Receipt(
-                tx=tx,
-                block_height=block.height,
-                executed_at=block.produced_at,
-                final_at=final_at,
-                ok=False,
-                error=str(exc),
-            )
+            try:
+                receipt.result = self._contracts[tx.contract].call(
+                    ctx, tx.method, tx.args
+                )
+            except ContractError as exc:
+                receipt.ok = False
+                receipt.error = str(exc)
+            self.receipts[tx.tx_id] = receipt
+            for callback in list(self._finality_subs):
+                sim.schedule_at(
+                    final_at,
+                    callback,
+                    receipt,
+                    label=f"{self.name}.finality.tx{tx.tx_id}",
+                )
 
     # -- queries -------------------------------------------------------------------
 
+    def _next_block(self, now: float, passed_at_now: bool) -> Tuple[float, int]:
+        """Time and height of the first block not yet passed at ``now``.
+
+        Skips the empty block times since the last block produced, one
+        float addition each, exactly as a ticking chain's timer did.
+        ``passed_at_now`` says whether a block due exactly at ``now``
+        counts as passed.
+        """
+        tick = self._tick_at
+        height = self._tick_height
+        while tick < now or (passed_at_now and tick == now):
+            tick += self.block_interval
+            height += 1
+        return tick, height
+
     @property
     def height(self) -> int:
-        """Number of produced blocks."""
-        return len(self.blocks)
+        """Number of block times passed (blocks produced or empty)."""
+        return self._next_block(self.sim.now, passed_at_now=True)[1]
 
     def finalized_height(self) -> int:
         """Highest block height whose contents are final."""
@@ -301,7 +319,6 @@ class SimpleChain(Process):
 
 
 __all__ = [
-    "Block",
     "CallContext",
     "Contract",
     "Receipt",
