@@ -223,6 +223,18 @@ METRICS: Dict[str, Metric] = {
             _fraction_of("chi_issued"),
         ),
         Metric(
+            "harmed",
+            "fraction of runs leaving a connector out of pocket (opt-in "
+            "record value connector_harmed)",
+            _fraction_of("connector_harmed"),
+        ),
+        Metric(
+            "decision_time",
+            "mean time of the first commit or abort certificate (opt-in "
+            "record value decision_time)",
+            _mean_of("decision_time"),
+        ),
+        Metric(
             "violated",
             "union of the properties violated in the group's runs "
             "('-' = none)",

@@ -1,13 +1,9 @@
-"""Byzantine behaviour injection: protocol-level spec transforms and
-generic fault wrappers."""
+"""Byzantine behaviour injection: protocol-level spec transforms."""
 
 from .behaviors import SPEC_TRANSFORMS, BehaviorRef, apply_behavior, register_behavior
-from .faults import CrashSchedule, DeafWrapper
 
 __all__ = [
     "BehaviorRef",
-    "CrashSchedule",
-    "DeafWrapper",
     "SPEC_TRANSFORMS",
     "apply_behavior",
     "register_behavior",

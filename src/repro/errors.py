@@ -97,10 +97,6 @@ class ConsensusError(ReproError):
     """The notary-committee consensus was misconfigured."""
 
 
-class PropertyError(ReproError):
-    """A property checker was applied to an unsuitable session."""
-
-
 class DealError(ReproError):
     """A cross-chain deal matrix or deal protocol is malformed."""
 

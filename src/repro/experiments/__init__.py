@@ -7,16 +7,15 @@ Every experiment module is a pair on top of :mod:`repro.runtime`:
 * ``aggregate(SweepResult) -> ExperimentResult`` — the reduction to the
   paper table.
 
-E1, E3, E4, E7 and E9 run the campaign's own trial
-(:func:`repro.scenarios.trial.scenario_trial`, referenced as
+E1, E2, E3, E4, E7 and E9, and E5's payment rows, run the campaign's
+own trial (:func:`repro.scenarios.trial.scenario_trial`, referenced as
 :data:`~repro.scenarios.spec.TRIAL_REF`), and each table is one
 :func:`~repro.analysis.query.analyze_store` query over the sweep's
-records, with the headline claim a predicate over that table.  The
-rest keep a module-level ``trial(spec) -> dict`` of their own, because
-their trials are different: E2 pins one escrow's clock to the drift
-extreme, E5 needs an equivocating TM object, a consensus-level attack
-and a trace read, E6 runs cross-chain *deals*, and E8 enumerates
-schedules with the explorer.
+records, with the headline claim a predicate over that table.  Three
+trial functions of their own remain, because their trials are
+different: E5's split-vote attack runs the consensus layer directly,
+E6 runs cross-chain *deals*, and E8 enumerates schedules with the
+explorer.
 
 ``run(quick, seed, executor)`` composes the two; pass an
 :class:`~repro.runtime.Executor`, an integer job count, or nothing (the

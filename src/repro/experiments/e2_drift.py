@@ -15,22 +15,25 @@ window ``H_1 + m`` therefore fails once ``ρ > m / H_1`` — with the
 margin ``m = ε/2`` and ``n = 4`` hops that threshold is ρ ≈ 0.0024,
 so every swept drift above zero breaks it.  The failure mode is the
 nasty one: the drifting escrow refunds upstream while its downstream
-peer already paid out — the connector between them ends out of pocket
-(CS3), exactly the incident the paper's fine-tuning prevents.  The
-tuned window ``(1+ρ)·H_1 + m`` never fails.
+peer already paid out, so the connector between them ends out of
+pocket and never terminates.  The checker reports that as consistency
+(C) and eventual termination (T) violations; CS3 is vacuous there
+because it binds only connectors that terminated.  The tuned window
+``(1+ρ)·H_1 + m`` never fails.
+
+Every trial is a campaign trial (``scenario_trial``) with the
+``fast_clocks`` option pinning ``e1`` and the opt-in
+``connector_harmed`` column; the table is an ``analyze`` query grouped
+by ``(rho_clock, drift_tuned)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from ..clocks import extremal_clock
-from ..core.session import PaymentSession
-from ..core.topology import PaymentTopology
-from ..net.timing import build_timing
-from ..properties import check_definition1
+from ..analysis.query import analyze_store
+from ..analysis.store import RecordStore
 from ..runtime import SweepResult, SweepSpec, resolve_executor
-from ..runtime.tables import ExperimentResult, fraction
+from ..runtime.tables import ExperimentResult
+from ..scenarios.spec import TRIAL_REF
 
 DELTA = 1.0
 EPSILON = 0.05
@@ -39,99 +42,58 @@ N = 4
 FAST_ESCROW = "e1"
 
 
-def trial(spec) -> Dict[str, Any]:
-    rho = spec.opt("rho_clock")
-    # A pinned clock cannot ride in a spec, and campaign trials sample
-    # every clock, so this trial builds its own session.
-    session = PaymentSession(
-        PaymentTopology.linear(
-            spec.opt("n"), payment_id="-".join(str(c) for c in spec.coords)
-        ),
-        spec.opt("protocol"),
-        # All delays exactly at the bound: the adversarially slow network
-        # the calculus must survive.
-        build_timing(spec.opt("timing")),
-        seed=spec.seed,
-        clocks={FAST_ESCROW: extremal_clock(rho, fast=True)},
-        protocol_options={
-            "epsilon": EPSILON,
-            "rho": rho,
-            "drift_tuned": spec.opt("drift_tuned"),
-            "margin": MARGIN,
-            "processing_floor": EPSILON,  # pin processing at its bound
-        },
-    )
-    outcome = session.run()
-    report = check_definition1(outcome)
-    # A connector is monetarily harmed when her position has a negative
-    # component and is not the success position — she paid downstream
-    # without being paid upstream.  (If she is still waiting, the T
-    # violation covers her; the money damage is what this surfaces.)
-    harmed = any(
-        any(u < 0 for u in outcome.position_delta(c).values())
-        and not outcome.in_success_position(c)
-        for c in outcome.topology.connectors()
-    )
-    return {
-        "bob_paid": outcome.bob_paid,
-        "bad": not report.all_ok,
-        "harmed": harmed,
-        "props": sorted(v.property_id.value for v in report.violations()),
-    }
-
-
 def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
     rhos = (
         [0.0, 0.005, 0.02, 0.05]
         if quick
         else [0.0, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1]
     )
-    return SweepSpec.grid(
-        "E2",
-        trial,
-        seed,
-        axes={
-            "rho_clock": rhos,
-            "drift_tuned": [False, True],
-            "s": range(5 if quick else 15),
-        },
-        n=N,
-        protocol="timebounded",
-        timing=("synchronous", {"delta": DELTA, "min_delay": DELTA}),
-    )
+    # The (rho_clock, drift_tuned, s) grid, spelled out because the
+    # pinned clock and the calculus's rho follow the rho_clock axis.
+    sweep = SweepSpec(sweep_id="E2")
+    for rho in rhos:
+        for drift_tuned in (False, True):
+            for s in range(5 if quick else 15):
+                sweep.add(
+                    TRIAL_REF,
+                    seed,
+                    (rho, drift_tuned, s),
+                    rho_clock=rho,
+                    drift_tuned=drift_tuned,
+                    s=s,
+                    topology=f"linear-{N}",
+                    protocol="timebounded",
+                    # All delays exactly at the bound: the adversarially
+                    # slow network the calculus must survive.
+                    timing=("synchronous", {"delta": DELTA, "min_delay": DELTA}),
+                    adversary="none",
+                    fast_clocks={FAST_ESCROW: rho},
+                    extra_columns=["connector_harmed"],
+                    protocol_options={
+                        "epsilon": EPSILON,
+                        "rho": rho,
+                        "drift_tuned": drift_tuned,
+                        "margin": MARGIN,
+                        "processing_floor": EPSILON,  # processing at its bound
+                    },
+                )
+    return sweep
 
 
 def aggregate(sweep: SweepResult) -> ExperimentResult:
-    result = ExperimentResult(
-        exp_id="E2",
-        title="drift-tuned vs naive timeout calculus (the paper's fix)",
-        claim=(
-            "Without the (1+rho) drift inflation the universal protocol "
-            "violates connector security (CS3) under worst-case clocks for "
-            "any drift above m/H; with the paper's fine-tuning it never "
-            "does."
-        ),
-        columns=[
-            "rho", "calculus", "runs", "bob_paid", "violations",
-            "connector_harmed", "violated_props",
-        ],
-    )
     sweep.raise_any()
-    for rho in sweep.distinct("rho_clock"):
-        for drift_tuned in (False, True):
-            records = sweep.select(rho_clock=rho, drift_tuned=drift_tuned)
-            props: set = set()
-            for record in records:
-                props |= set(record["props"])
-            result.add_row(
-                rho=rho,
-                calculus="tuned" if drift_tuned else "naive",
-                runs=len(records),
-                bob_paid=fraction(r["bob_paid"] for r in records),
-                violations=fraction(r["bad"] for r in records),
-                connector_harmed=fraction(r["harmed"] for r in records),
-                violated_props=",".join(sorted(props)) or "-",
-            )
+    result = analyze_store(
+        RecordStore.from_records(sweep.records, sweep.sweep_id),
+        group_by=("rho_clock", "drift_tuned"),
+        metrics=("runs", "success", "def1_ok", "harmed", "violated"),
+    )
+    result.title = "drift-tuned vs naive timeout calculus (the paper's fix)"
+    result.claim = (
+        "Without the (1+rho) drift inflation the universal protocol "
+        "violates consistency (C) and eventual termination (T) under "
+        "worst-case clocks for any drift above m/H, leaving a connector "
+        "out of pocket; with the paper's fine-tuning it never does."
+    )
     result.note(
         f"worst case: all delays = Delta={DELTA}, processing pinned at "
         f"epsilon={EPSILON}, margin={MARGIN}, escrow {FAST_ESCROW} fast by "
@@ -145,4 +107,4 @@ def run(quick: bool = True, seed: int = 0, executor=None) -> ExperimentResult:
     return aggregate(resolve_executor(executor).run(build_sweep(quick, seed)))
 
 
-__all__ = ["aggregate", "build_sweep", "run", "trial"]
+__all__ = ["aggregate", "build_sweep", "run"]

@@ -12,24 +12,29 @@ Part B probes certificate consistency (CC):
 * a notary committee sized for ``f = 1`` (N = 4, quorum 2f+1 = 3) keeps
   CC under an orchestrated split-vote attack with 1 traitor, and loses
   it with 2 — exactly the < N/3 bound the paper imports from DLS.
+
+The four payment rows (the three backends and the equivocating trusted
+party) are campaign trials (``scenario_trial``) on ``linear-2`` with
+the opt-in ``decision_time`` column, tabled by one ``analyze`` query
+grouped by ``configuration``.  The split attack runs the consensus
+layer directly and keeps its own trial, :func:`attack_trial`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from ..analysis.query import analyze_store
+from ..analysis.store import RecordStore
 from ..consensus.dls import Notary, NotaryBehavior
-from ..core.session import PaymentSession
-from ..core.topology import PaymentTopology
 from ..crypto.certificates import Decision
 from ..crypto.keys import KeyRing
 from ..net.network import Network
-from ..net.timing import PartialSynchrony, build_timing
-from ..properties import check_definition2
+from ..net.timing import PartialSynchrony
 from ..runtime import SweepResult, SweepSpec, resolve_executor
 from ..runtime.tables import ExperimentResult
+from ..scenarios.spec import TRIAL_REF
 from ..sim.kernel import Simulator
-from ..sim.trace import TraceKind
 
 N_ESCROWS = 2
 
@@ -38,6 +43,10 @@ BACKENDS = [
     (("contract", {"block_interval": 1.0, "confirmations": 2}), "smart contract"),
     (("committee", {"n_notaries": 4, "round_duration": 5.0}), "committee N=4"),
 ]
+
+#: A Byzantine trusted party: commit certificates to half the
+#: participants, abort certificates to the rest.
+EQUIVOCATING = ("trusted", {"equivocate": True})
 
 #: The attacker picks its schedule: best of this many seeds per row.
 ATTACK_SEEDS = 4
@@ -126,90 +135,45 @@ def _committee_split_attack(
     return honest_decisions, conflicting
 
 
-def trial(spec) -> Dict[str, Any]:
-    variant = spec.opt("variant")
-    if variant == "attack":
-        decisions, conflicting = _committee_split_attack(
-            spec.opt("n_notaries", 4), spec.opt("f_actual"), spec.seed
-        )
-        return {"decisions": sorted(decisions), "conflicting": conflicting}
-    if variant == "equivocating":
-        from ..protocols.weak.tm import TrustedPartyBackend
-
-        tm: Any = TrustedPartyBackend(equivocate=True)
-    else:
-        tm = spec.opt("tm")
-    # An equivocating TM object and a trace read (decision_time) are
-    # beyond the campaign trial, so this trial builds its own session.
-    outcome = PaymentSession(
-        PaymentTopology.linear(spec.opt("n"), payment_id=spec.opt("payment_id")),
-        spec.opt("protocol"),
-        build_timing(spec.opt("timing")),
-        seed=spec.seed,
-        horizon=spec.opt("horizon"),
-        protocol_options={
-            "tm": tm,
-            "patience_setup": 10_000.0,
-            "patience_decision": 10_000.0,
-        },
-    ).run()
-    report = check_definition2(outcome, patient=True)
-    if variant == "equivocating":
-        decision_time = float("nan")  # no single honest decision point
-    else:
-        first = outcome.trace.first(
-            predicate=lambda e: e.kind
-            in (TraceKind.CERT_ISSUED, TraceKind.CERT_RECEIVED)
-            and e.get("cert") in ("commit", "abort")
-        )
-        decision_time = first.time if first else float("nan")
-    return {
-        "decided": ",".join(sorted(outcome.decision_kinds_issued())) or "-",
-        "bob_paid": outcome.bob_paid,
-        "cc_ok": not [
-            v for v in report.violations() if v.property_id.value == "CC"
-        ],
-        "decision_time": decision_time,
-        "messages": outcome.messages_sent,
-    }
+def attack_trial(spec) -> Dict[str, Any]:
+    """One split-vote attack run (see :func:`_committee_split_attack`)."""
+    decisions, conflicting = _committee_split_attack(
+        spec.opt("n_notaries"), spec.opt("f_actual"), spec.seed
+    )
+    return {"decisions": sorted(decisions), "conflicting": conflicting}
 
 
 def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
     sweep = SweepSpec(sweep_id="E5")
-    common = dict(
-        n=N_ESCROWS,
-        protocol="weak",
-        timing=("synchronous", {"delta": 1.0}),
-        horizon=100_000.0,
+    payments = [(("backend", label), label, tm) for tm, label in BACKENDS]
+    payments.append(
+        (("equivocating",), "trusted party, equivocating", EQUIVOCATING)
     )
-    for tm_spec, label in BACKENDS:
+    for coords, label, tm in payments:
         sweep.add(
-            trial,
+            TRIAL_REF,
             seed,
-            ("backend", label),
-            variant="backend",
-            label=label,
-            tm=tm_spec,
-            payment_id=f"e5-{label}",
-            **common,
+            coords,
+            configuration=label,
+            topology=f"linear-{N_ESCROWS}",
+            protocol="weak",
+            timing=("synchronous", {"delta": 1.0}),
+            adversary="none",
+            horizon=100_000.0,
+            extra_columns=["decision_time"],
+            protocol_options={
+                "tm": tm,
+                "patience_setup": 10_000.0,
+                "patience_decision": 10_000.0,
+            },
         )
-    sweep.add(
-        trial,
-        seed,
-        ("equivocating",),
-        variant="equivocating",
-        label="trusted party, equivocating",
-        payment_id="e5-equiv",
-        **common,
-    )
     fs = [0, 1, 2] if quick else [0, 1, 2, 3]
     for f_actual in fs:
         for s in range(ATTACK_SEEDS):
             sweep.add(
-                trial,
+                attack_trial,
                 seed,
                 ("attack", f_actual, s),
-                variant="attack",
                 f_actual=f_actual,
                 n_notaries=4,
                 s=s,
@@ -218,31 +182,25 @@ def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
 
 
 def aggregate(sweep: SweepResult) -> ExperimentResult:
-    result = ExperimentResult(
-        exp_id="E5",
-        title="transaction-manager realisations (trusted / contract / committee)",
-        claim=(
-            "All three TM realisations implement Definition 2; the trusted "
-            "party is a single point of failure for CC, while the notary "
-            "committee preserves CC exactly for f < N/3 traitors."
-        ),
-        columns=[
-            "configuration", "decided", "bob_paid", "cc_ok",
-            "decision_time", "messages",
-        ],
-    )
     sweep.raise_any()
-    for record in sweep.select(variant="backend") + sweep.select(
-        variant="equivocating"
-    ):
-        result.add_row(
-            configuration=record.spec.opt("label"),
-            decided=record["decided"],
-            bob_paid=record["bob_paid"],
-            cc_ok=record["cc_ok"],
-            decision_time=record["decision_time"],
-            messages=record["messages"],
-        )
+    result = analyze_store(
+        RecordStore.from_records(
+            [r for r in sweep.records if r.spec.fn == TRIAL_REF], sweep.sweep_id
+        ),
+        group_by=("configuration",),
+        metrics=(
+            "committed", "aborted", "success", "def2_ok", "violated",
+            "decision_time", "mean_msgs",
+        ),
+    )
+    result.title = (
+        "transaction-manager realisations (trusted / contract / committee)"
+    )
+    result.claim = (
+        "All three TM realisations implement Definition 2; the trusted "
+        "party is a single point of failure for CC, while the notary "
+        "committee preserves CC exactly for f < N/3 traitors."
+    )
     for f_actual in sweep.distinct("f_actual"):
         if f_actual is None:
             continue
@@ -250,7 +208,7 @@ def aggregate(sweep: SweepResult) -> ExperimentResult:
         best_conflict = False
         # The attacker gets its pick of schedules: the first conflicting
         # seed wins outright, otherwise decisions accumulate.
-        for record in sweep.select(variant="attack", f_actual=f_actual):
+        for record in sweep.select(f_actual=f_actual):
             best_decisions |= set(record["decisions"])
             if record["conflicting"]:
                 best_decisions = set(record["decisions"])
@@ -258,16 +216,20 @@ def aggregate(sweep: SweepResult) -> ExperimentResult:
                 break
         result.add_row(
             configuration=f"committee N=4, traitors={f_actual} (split attack)",
-            decided=",".join(sorted(best_decisions)) or "-",
-            bob_paid="-",
-            cc_ok=not best_conflict,
-            decision_time=float("nan"),
-            messages="-",
+            committed=float("commit" in best_decisions),
+            aborted=float("abort" in best_decisions),
+            success="-",
+            def2_ok="-",
+            violated="CC" if best_conflict else "-",
+            decision_time="-",
+            mean_msgs="-",
         )
     result.note(
         "committee rows run the consensus layer directly under an "
-        "orchestrated split of honest preferences; cc_ok = no pair of "
-        "conflicting quorum certificates can be assembled from all votes."
+        "orchestrated split of honest preferences; there, committed/"
+        "aborted say which decisions the attacker's best schedule "
+        "reached, and CC is violated iff two conflicting quorum "
+        "certificates can be assembled from all votes."
     )
     return result
 
@@ -276,4 +238,4 @@ def run(quick: bool = True, seed: int = 0, executor=None) -> ExperimentResult:
     return aggregate(resolve_executor(executor).run(build_sweep(quick, seed)))
 
 
-__all__ = ["aggregate", "build_sweep", "run", "trial"]
+__all__ = ["aggregate", "attack_trial", "build_sweep", "run"]

@@ -6,8 +6,6 @@ from .asset import Amount, amount
 from .blockchain import CallContext, Contract, Receipt, SimpleChain, Transaction
 from .contracts import (
     CertifiedBroadcastContract,
-    HTLCContract,
-    HTLCLock,
     PublicationRecord,
     TransactionManagerContract,
 )
@@ -20,8 +18,6 @@ __all__ = [
     "CertifiedBroadcastContract",
     "Contract",
     "EscrowLock",
-    "HTLCContract",
-    "HTLCLock",
     "Ledger",
     "LockState",
     "PublicationRecord",

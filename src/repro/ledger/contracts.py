@@ -1,13 +1,11 @@
-"""Standard contracts: transaction manager, HTLC, certified broadcast.
+"""Standard contracts: transaction manager, certified broadcast.
 
-Three contracts cover the paper's on-chain needs:
+Two contracts cover the paper's on-chain needs:
 
 * :class:`TransactionManagerContract` — the Definition 2 transaction
   manager as a smart contract.  Certificate consistency (CC) holds *by
   construction*: the decision field is written once, and block execution
   is serial.
-* :class:`HTLCContract` — hashed timelock escrow used by the baseline
-  protocols (Interledger atomic mode; Herlihy timelock commit).
 * :class:`CertifiedBroadcastContract` — an append-only publication log
   modelling the "certified blockchain" of Herlihy–Liskov–Shrira: anyone
   can publish a record and later prove publication (the chain's receipt
@@ -16,13 +14,11 @@ Three contracts cover the paper's on-chain needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from ..errors import ContractError
 from ..crypto.certificates import Decision
-from ..crypto.hashlock import HashLock, Preimage
-from .asset import Amount
 from .blockchain import CallContext, Contract
 
 
@@ -119,106 +115,6 @@ class TransactionManagerContract(Contract):
         }
 
 
-@dataclass
-class HTLCLock:
-    """One hashed-timelock escrow entry."""
-
-    lock_id: str
-    depositor: str
-    beneficiary: str
-    amount: Amount
-    hashlock: HashLock
-    deadline: float
-    state: str = "held"  # held | claimed | refunded
-
-
-class HTLCContract(Contract):
-    """Hashed timelock escrow over the chain's ledger.
-
-    Methods
-    -------
-    ``lock(lock_id, beneficiary, amount, hashlock, deadline)``
-        Debits the sender and holds the value under a hash + deadline.
-    ``claim(lock_id, preimage)``
-        Beneficiary presents the preimage strictly before the deadline.
-    ``refund(lock_id)``
-        After the deadline, value returns to the depositor.
-    """
-
-    def __init__(self, address: str) -> None:
-        super().__init__(address)
-        self.locks: Dict[str, HTLCLock] = {}
-
-    def call(self, ctx: CallContext, method: str, args: Dict[str, Any]) -> Any:
-        if method == "lock":
-            return self._lock(ctx, args)
-        if method == "claim":
-            return self._claim(ctx, args)
-        if method == "refund":
-            return self._refund(ctx, args)
-        if method == "status":
-            lock = self._get(args["lock_id"])
-            return {"state": lock.state, "deadline": lock.deadline}
-        raise ContractError(f"{self.address}: unknown method {method!r}")
-
-    def _get(self, lock_id: str) -> HTLCLock:
-        try:
-            return self.locks[lock_id]
-        except KeyError:
-            raise ContractError(f"unknown HTLC lock {lock_id!r}") from None
-
-    def _lock(self, ctx: CallContext, args: Dict[str, Any]) -> str:
-        lock_id: str = args["lock_id"]
-        if lock_id in self.locks:
-            raise ContractError(f"duplicate HTLC lock {lock_id!r}")
-        amount: Amount = args["amount"]
-        hashlock: HashLock = args["hashlock"]
-        deadline: float = float(args["deadline"])
-        beneficiary: str = args["beneficiary"]
-        ledger = ctx.chain.ledger
-        ledger.open_account(beneficiary)
-        ledger.escrow_deposit(
-            depositor=ctx.sender,
-            beneficiary=beneficiary,
-            amt=amount,
-            lock_id=f"{self.address}/{lock_id}",
-        )
-        self.locks[lock_id] = HTLCLock(
-            lock_id=lock_id,
-            depositor=ctx.sender,
-            beneficiary=beneficiary,
-            amount=amount,
-            hashlock=hashlock,
-            deadline=deadline,
-        )
-        return lock_id
-
-    def _claim(self, ctx: CallContext, args: Dict[str, Any]) -> str:
-        lock = self._get(args["lock_id"])
-        preimage: Preimage = args["preimage"]
-        if lock.state != "held":
-            raise ContractError(f"lock {lock.lock_id!r} already {lock.state}")
-        if ctx.sender != lock.beneficiary:
-            raise ContractError("only the beneficiary may claim")
-        if ctx.block_time >= lock.deadline:
-            raise ContractError("claim after deadline")
-        if not lock.hashlock.matches(preimage):
-            raise ContractError("preimage does not match hash-lock")
-        lock.state = "claimed"
-        ctx.chain.ledger.escrow_release(f"{self.address}/{lock.lock_id}")
-        return "claimed"
-
-    def _refund(self, ctx: CallContext, args: Dict[str, Any]) -> str:
-        lock = self._get(args["lock_id"])
-        if lock.state != "held":
-            raise ContractError(f"lock {lock.lock_id!r} already {lock.state}")
-        if ctx.block_time < lock.deadline:
-            raise ContractError("refund before deadline")
-        lock.state = "refunded"
-        ctx.chain.ledger.escrow_refund(f"{self.address}/{lock.lock_id}")
-        return "refunded"
-
-
 @dataclass(frozen=True)
 class PublicationRecord:
     """Proof that a payload was published at a given height."""
@@ -260,8 +156,6 @@ class CertifiedBroadcastContract(Contract):
 
 __all__ = [
     "CertifiedBroadcastContract",
-    "HTLCContract",
-    "HTLCLock",
     "PublicationRecord",
     "TransactionManagerContract",
 ]

@@ -4,14 +4,12 @@ scheduling adversaries, and the router."""
 from .adversary import (
     Adversary,
     CertificateWithholdingAdversary,
-    CompositeAdversary,
     EdgeDelayAdversary,
     FirstWindowAdversary,
     HOLD,
     KindDelayAdversary,
     NullAdversary,
     PredicateDelayAdversary,
-    RecordingAdversary,
 )
 from .message import Envelope, MsgKind
 from .network import Network, NetworkStats
@@ -21,7 +19,6 @@ __all__ = [
     "Adversary",
     "Asynchronous",
     "CertificateWithholdingAdversary",
-    "CompositeAdversary",
     "EdgeDelayAdversary",
     "Envelope",
     "FirstWindowAdversary",
@@ -33,7 +30,6 @@ __all__ = [
     "NullAdversary",
     "PartialSynchrony",
     "PredicateDelayAdversary",
-    "RecordingAdversary",
     "Synchronous",
     "TimingModel",
 ]

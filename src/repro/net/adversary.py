@@ -14,7 +14,7 @@ a property of participants, not of the network.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .message import Envelope, MsgKind
 
@@ -201,52 +201,9 @@ class CrashRestartAdversary(Adversary):
         )
 
 
-class CompositeAdversary(Adversary):
-    """Combine adversaries; the first non-``None`` proposal wins."""
-
-    def __init__(self, *adversaries: Adversary) -> None:
-        self.adversaries = list(adversaries)
-
-    def propose_delay(self, envelope: Envelope, send_time: float) -> Proposal:
-        for adversary in self.adversaries:
-            proposal = adversary.propose_delay(envelope, send_time)
-            if proposal is not None:
-                return proposal
-        return None
-
-    def reset(self) -> None:
-        for adversary in self.adversaries:
-            adversary.reset()
-
-    def describe(self) -> str:
-        inner = ", ".join(a.describe() for a in self.adversaries)
-        return f"Composite({inner})"
-
-
-class RecordingAdversary(Adversary):
-    """Wrap another adversary, logging (msg_id, proposal) decisions."""
-
-    def __init__(self, inner: Adversary) -> None:
-        self.inner = inner
-        self.log: List[Tuple[int, Proposal]] = []
-
-    def propose_delay(self, envelope: Envelope, send_time: float) -> Proposal:
-        proposal = self.inner.propose_delay(envelope, send_time)
-        self.log.append((envelope.msg_id, proposal))
-        return proposal
-
-    def reset(self) -> None:
-        self.log.clear()
-        self.inner.reset()
-
-    def describe(self) -> str:
-        return f"Recording({self.inner.describe()})"
-
-
 __all__ = [
     "Adversary",
     "CertificateWithholdingAdversary",
-    "CompositeAdversary",
     "CrashRestartAdversary",
     "EdgeDelayAdversary",
     "FirstWindowAdversary",
@@ -254,5 +211,4 @@ __all__ = [
     "KindDelayAdversary",
     "NullAdversary",
     "PredicateDelayAdversary",
-    "RecordingAdversary",
 ]

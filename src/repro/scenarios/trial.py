@@ -27,9 +27,11 @@ construction work.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..errors import ScenarioError
 from ..runtime.spec import TrialSpec
+from ..sim.trace import CHECKER_KINDS, TraceKind
 
 #: topology name -> validated template graph with warmed derived tables.
 _TOPOLOGY_TEMPLATES: Dict[str, Any] = {}
@@ -101,14 +103,65 @@ def _adversary_for(name: str, topology: Any, topology_name: str) -> Any:
     return adversary
 
 
+def _decision_time(outcome: Any) -> Optional[float]:
+    """Time of the first commit or abort certificate issued or received.
+
+    ``None`` when the run never reached a decision.  Both kinds are in
+    :data:`~repro.sim.trace.CHECKER_KINDS`, so a reduced trace suffices.
+    """
+    first = outcome.trace.first(
+        predicate=lambda e: e.kind
+        in (TraceKind.CERT_ISSUED, TraceKind.CERT_RECEIVED)
+        and e.get("cert") in ("commit", "abort")
+    )
+    return first.time if first else None
+
+
+def _connector_harmed(outcome: Any) -> bool:
+    """Whether some connector ends out of pocket.
+
+    A connector is monetarily harmed when her position has a negative
+    component and is not the success position — she paid downstream
+    without being paid upstream.  (If she is still waiting, the T
+    violation covers her; the money damage is what this surfaces.)
+    """
+    return any(
+        any(u < 0 for u in outcome.position_delta(c).values())
+        and not outcome.in_success_position(c)
+        for c in outcome.topology.connectors()
+    )
+
+
+#: Opt-in record columns: a trial's ``extra_columns`` option names
+#: entries here, and each named column is computed from the outcome.
+#: Cells that name none keep the default record shape.
+EXTRA_COLUMNS: Dict[str, Callable[[Any], Any]] = {
+    "decision_time": _decision_time,
+    "connector_harmed": _connector_harmed,
+}
+
+
 def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
-    """Run one scenario trial; pure function of its spec."""
+    """Run one scenario trial; pure function of its spec.
+
+    Two options are absent from every campaign cell and add nothing
+    when absent: ``fast_clocks`` (``{participant: rho}``) pins those
+    participants to the fastest clock drift bound ``rho`` allows, and
+    ``extra_columns`` lists :data:`EXTRA_COLUMNS` to add to the record.
+    """
+    from ..clocks import extremal_clock
     from ..core.session import PaymentSession, SessionArena
     from ..net.adversary import CrashRestartAdversary
     from ..sim.faults import FaultInjector
-    from ..sim.trace import CHECKER_KINDS
     from ..verification.properties import property_columns
 
+    extra_columns = spec.opt("extra_columns") or ()
+    unknown = [name for name in extra_columns if name not in EXTRA_COLUMNS]
+    if unknown:
+        raise ScenarioError(
+            f"unknown extra_columns {unknown}; known: {sorted(EXTRA_COLUMNS)}"
+        )
+    fast_clocks = spec.opt("fast_clocks") or {}
     payment_id = "-".join(str(c) for c in spec.coords) or "campaign"
     topology_name = spec.opt("topology")
     topology = _topology_for(topology_name, payment_id)
@@ -139,6 +192,10 @@ def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
         adversary=adversary,
         seed=spec.seed,
         rho=spec.opt("rho", 0.0),
+        clocks={
+            name: extremal_clock(rho, fast=True)
+            for name, rho in fast_clocks.items()
+        },
         byzantine=spec.opt("byzantine"),
         horizon=spec.opt("horizon"),
         protocol_options=dict(spec.opt("protocol_options") or {}),
@@ -174,6 +231,8 @@ def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
         record["crash_point"] = injector.point
         record["crash_downtime"] = injector.downtime
         record["recovered_at"] = injector.recovered_at
+    for name in extra_columns:
+        record[name] = EXTRA_COLUMNS[name](outcome)
     record.update(
         property_columns(
             outcome,
@@ -185,4 +244,4 @@ def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
     return record
 
 
-__all__ = ["scenario_trial"]
+__all__ = ["EXTRA_COLUMNS", "scenario_trial"]

@@ -37,7 +37,6 @@ class TraceKind(str, Enum):
 
     SEND = "send"
     RECEIVE = "receive"
-    DROP = "drop"
     TRANSFER = "transfer"
     ESCROW_DEPOSIT = "escrow_deposit"
     ESCROW_RELEASE = "escrow_release"

@@ -5,13 +5,10 @@ import random
 import pytest
 
 from repro.crypto.certificates import Decision
-from repro.crypto.hashlock import new_secret
 from repro.errors import BlockchainError, ContractError
-from repro.ledger.asset import Amount
 from repro.ledger.blockchain import SimpleChain
 from repro.ledger.contracts import (
     CertifiedBroadcastContract,
-    HTLCContract,
     TransactionManagerContract,
 )
 from repro.net.message import Envelope, MsgKind
@@ -174,85 +171,45 @@ class TestTransactionManagerContract:
         sim.run(until=2.0)
         assert tm.decision is Decision.ABORT  # no error, still abort
 
+    def test_commit_frozen_against_later_abort(self):
+        sim, chain, tm = self._tm()
+        chain.submit("e0", "tm", "escrowed", {})
+        chain.submit("e1", "tm", "escrowed", {})
+        chain.submit("bob", "tm", "request_commit", {})
+        sim.run(until=2.0)
+        tx = chain.submit("alice", "tm", "request_abort", {})
+        sim.run(until=4.0)
+        assert tm.decision is Decision.COMMIT
+        assert tm.decided_at_height == 0
+        assert chain.receipts[tx.tx_id].result["decision"] == Decision.COMMIT.value
 
-class TestHTLCContract:
-    def _setup(self):
+    def test_commit_needs_every_beneficiary(self):
         sim, chain = _chain()
-        htlc = HTLCContract("htlc")
-        chain.deploy(htlc)
-        chain.ledger.mint("alice", Amount("X", 100))
-        secret = new_secret("s")
-        return sim, chain, htlc, secret
+        tm = chain.deploy(TransactionManagerContract(
+            "tm", "p", escrows=["e0"], beneficiary=["bob", "carol"]))
+        chain.submit("e0", "tm", "escrowed", {})
+        chain.submit("bob", "tm", "request_commit", {})
+        sim.run(until=2.0)
+        assert tm.decision is None
+        chain.submit("carol", "tm", "request_commit", {})
+        sim.run(until=3.0)
+        assert tm.decision is Decision.COMMIT
 
-    def test_lock_claim(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        chain.submit("bob", "htlc", "claim", {"lock_id": "L", "preimage": secret})
-        sim.run(until=2.5)
-        assert chain.ledger.balance("bob", "X").units == 40
-        assert htlc.locks["L"].state == "claimed"
+    def test_status_reports_progress(self):
+        sim, chain, tm = self._tm()
+        chain.submit("e1", "tm", "escrowed", {})
+        tx = chain.submit("anyone", "tm", "status", {})
+        sim.run(until=2.0)
+        assert chain.receipts[tx.tx_id].result == {
+            "payment_id": "p",
+            "decision": None,
+            "reported": ["e1"],
+            "commit_requested": False,
+        }
 
-    def test_claim_wrong_preimage_rejected(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        tx = chain.submit("bob", "htlc", "claim", {"lock_id": "L", "preimage": new_secret("wrong")})
-        sim.run(until=2.5)
-        assert not chain.receipts[tx.tx_id].ok
-        assert htlc.locks["L"].state == "held"
-
-    def test_claim_after_deadline_rejected(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 2.0,
-        })
-        sim.run(until=3.5)
-        tx = chain.submit("bob", "htlc", "claim", {"lock_id": "L", "preimage": secret})
-        sim.run(until=5.0)
-        assert not chain.receipts[tx.tx_id].ok
-
-    def test_refund_only_after_deadline(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 3.0,
-        })
-        sim.run(until=1.5)
-        early = chain.submit("alice", "htlc", "refund", {"lock_id": "L"})
-        sim.run(until=2.5)
-        assert not chain.receipts[early.tx_id].ok
-        late = chain.submit("alice", "htlc", "refund", {"lock_id": "L"})
-        sim.run(until=4.5)
-        assert chain.receipts[late.tx_id].ok
-        assert chain.ledger.balance("alice", "X").units == 100
-
-    def test_only_beneficiary_claims(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        tx = chain.submit("eve", "htlc", "claim", {"lock_id": "L", "preimage": secret})
-        sim.run(until=2.5)
-        assert not chain.receipts[tx.tx_id].ok
-
-    def test_chain_ledger_conserves_value(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        assert chain.ledger.audit_ok()
+    def test_needs_an_escrow(self):
+        with pytest.raises(ContractError):
+            TransactionManagerContract("tm", "p", escrows=[], beneficiary="bob")
 
 
 class TestCertifiedBroadcast:
@@ -274,6 +231,18 @@ class TestCertifiedBroadcast:
             chain.submit("a", "log", "publish", {"payload": i})
         sim.run(until=1.5)
         assert [r.payload for r in chain.contract("log").log] == list(range(5))
+
+    def test_read_since_returns_the_suffix(self):
+        sim, chain = _chain()
+        chain.deploy(CertifiedBroadcastContract("log"))
+        chain.submit("a", "log", "publish", {"payload": "r1"})
+        sim.run(until=1.5)
+        chain.submit("b", "log", "publish", {"payload": "r2"})
+        sim.run(until=2.5)
+        tx = chain.submit("c", "log", "read", {"since": 1})
+        sim.run(until=3.5)
+        records = chain.receipts[tx.tx_id].result
+        assert [(r.index, r.height, r.payload) for r in records] == [(1, 1, "r2")]
 
 
 # -- lazy block production against the always-ticking reference ----------

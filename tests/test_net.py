@@ -6,13 +6,11 @@ from hypothesis import given, strategies as st
 from repro.errors import NetworkError, TimingModelError
 from repro.net.adversary import (
     CertificateWithholdingAdversary,
-    CompositeAdversary,
     EdgeDelayAdversary,
     FirstWindowAdversary,
     HOLD,
     KindDelayAdversary,
     NullAdversary,
-    RecordingAdversary,
 )
 from repro.net.message import Envelope, MsgKind
 from repro.net.network import Network
@@ -204,14 +202,14 @@ class TestAdversaries:
         assert adv.propose_delay(_env(), 0.0) == 5.0
         assert adv.propose_delay(_env(), 0.0) is None
 
-    def test_composite_first_wins(self):
-        adv = CompositeAdversary(
-            KindDelayAdversary((MsgKind.MONEY,), delay=1.0),
-            KindDelayAdversary((MsgKind.MONEY,), delay=2.0),
-        )
-        assert adv.propose_delay(_env(), 0.0) == 1.0
+    def test_first_window_ignores_other_kinds(self):
+        adv = FirstWindowAdversary(MsgKind.MONEY, delay=5.0, count=1)
+        assert adv.propose_delay(_env(kind=MsgKind.CERTIFICATE), 0.0) is None
+        assert adv.propose_delay(_env(), 0.0) == 5.0
 
-    def test_recording_wraps(self):
-        adv = RecordingAdversary(KindDelayAdversary((MsgKind.MONEY,), delay=1.0))
-        adv.propose_delay(_env(), 0.0)
-        assert len(adv.log) == 1
+    def test_first_window_reset_reopens(self):
+        adv = FirstWindowAdversary(MsgKind.MONEY, delay=5.0, count=1)
+        assert adv.propose_delay(_env(), 0.0) == 5.0
+        assert adv.propose_delay(_env(), 0.0) is None
+        adv.reset()
+        assert adv.propose_delay(_env(), 0.0) == 5.0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments import SWEEPS, render_table
-from repro.experiments import e1_synchrony, e2_drift, e4_weak
+from repro.experiments import e1_synchrony, e2_drift, e4_weak, e5_notaries
 from repro.runtime import (
     ParallelExecutor,
     SerialExecutor,
@@ -205,7 +205,9 @@ class TestResolveExecutor:
 class TestExperimentParity:
     """Serial and parallel executors must be indistinguishable."""
 
-    @pytest.mark.parametrize("module", [e1_synchrony, e2_drift, e4_weak])
+    @pytest.mark.parametrize(
+        "module", [e1_synchrony, e2_drift, e4_weak, e5_notaries]
+    )
     def test_serial_parallel_sweep_results_identical(self, module):
         sweep = module.build_sweep(quick=True, seed=0)
         serial = SerialExecutor().run(sweep)
@@ -217,10 +219,17 @@ class TestExperimentParity:
         )
 
     def test_campaign_backed_experiments_run_the_campaign_trial(self):
-        for exp_id in ("E1", "E3", "E4", "E7", "E9"):
+        for exp_id in ("E1", "E2", "E3", "E4", "E5", "E7", "E9"):
             for quick in (True, False):
                 sweep = SWEEPS[exp_id](quick=quick, seed=0)
-                assert {spec.fn for spec in sweep} == {TRIAL_REF}, exp_id
+                # Only E5's consensus-level split attack keeps its own trial.
+                payments = [
+                    spec for spec in sweep
+                    if not (exp_id == "E5" and spec.coords[0] == "attack")
+                ]
+                assert payments and {spec.fn for spec in payments} == {
+                    TRIAL_REF
+                }, exp_id
 
     def test_run_accepts_jobs_int(self):
         a = e1_synchrony.run(quick=True, seed=0, executor=2)

@@ -1,10 +1,12 @@
 """Tests: the scenario-matrix campaign subsystem."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ScenarioError
 from repro.experiments import render_table
-from repro.runtime import ParallelExecutor, SerialExecutor, run_trial
+from repro.runtime import ParallelExecutor, SerialExecutor, TrialSpec, run_trial
 from repro.scenarios import (
     CampaignSpec,
     ScenarioSpec,
@@ -19,6 +21,7 @@ from repro.scenarios import (
     timing_descriptor,
 )
 from repro.scenarios.spec import TRIAL_REF
+from repro.scenarios.trial import EXTRA_COLUMNS, scenario_trial
 
 
 class TestRegistry:
@@ -298,6 +301,113 @@ class TestScenarioTrial:
         # a registry change ever breaks this, re-pin the cell.
         assert not record["all_terminated"]
         assert record["latency"] == 777.0
+
+
+class TestTrialOptions:
+    """The opt-in ``fast_clocks`` and ``extra_columns`` trial options."""
+
+    NAIVE = {
+        "epsilon": 0.05,
+        "rho": 0.02,
+        "drift_tuned": False,
+        "margin": 0.025,
+        "processing_floor": 0.05,
+    }
+    TIMING = ("synchronous", {"delta": 1.0, "min_delay": 1.0})
+
+    def _spec(self, **options):
+        return TrialSpec(
+            fn=TRIAL_REF,
+            coords=("opt", 0),
+            seed=7,
+            options={
+                "topology": "linear-4",
+                "protocol": "timebounded",
+                "timing": self.TIMING,
+                "adversary": "none",
+                "protocol_options": self.NAIVE,
+                **options,
+            },
+        )
+
+    def test_fast_clock_breaks_the_naive_calculus(self):
+        assert scenario_trial(self._spec(fast_clocks={"e1": 0.02}))["def1_ok"] is False
+        assert scenario_trial(self._spec())["def1_ok"] is True
+
+    def test_fast_clocks_equal_a_direct_pinned_session(self):
+        from repro.clocks import extremal_clock
+        from repro.core.session import PaymentSession
+        from repro.core.topology import PaymentTopology
+        from repro.net.timing import build_timing
+        from repro.verification.properties import property_columns
+
+        record = scenario_trial(self._spec(fast_clocks={"e1": 0.02}))
+        outcome = PaymentSession(
+            PaymentTopology.linear(4, payment_id="opt-0"),
+            "timebounded",
+            build_timing(self.TIMING),
+            seed=7,
+            clocks={"e1": extremal_clock(0.02, fast=True)},
+            protocol_options=self.NAIVE,
+        ).run()
+        direct = {
+            "bob_paid": outcome.bob_paid,
+            "latency": outcome.end_time,
+            "messages": outcome.messages_sent,
+            "events": outcome.events_executed,
+            **property_columns(outcome, "timebounded", self.TIMING, self.NAIVE),
+        }
+        assert {key: record[key] for key in direct} == direct
+
+    def test_unknown_extra_column_rejected(self):
+        with pytest.raises(ScenarioError, match="no_such_column"):
+            scenario_trial(self._spec(extra_columns=["no_such_column"]))
+
+    def test_default_record_has_no_extra_columns(self):
+        record = scenario_trial(self._spec())
+        assert not set(EXTRA_COLUMNS) & set(record)
+
+    def test_extra_columns_are_added_on_request(self):
+        record = scenario_trial(
+            self._spec(
+                fast_clocks={"e1": 0.02},
+                extra_columns=["connector_harmed", "decision_time"],
+            )
+        )
+        assert record["connector_harmed"] is True
+        # The time-bounded protocol issues no commit/abort certificate.
+        assert record["decision_time"] is None
+
+    def test_undecided_record_round_trips_to_analyze(self, tmp_path):
+        from repro.analysis.query import analyze_store
+        from repro.analysis.store import RecordStore
+        from repro.experiments import e5_notaries
+        from repro.runtime.persist import RecordWriter
+
+        trusted = run_trial(e5_notaries.build_sweep(quick=True).trials[0])
+        assert trusted.ok, trusted.error
+        undecided = replace(
+            trusted,
+            spec=replace(
+                trusted.spec,
+                options={**trusted.spec.options, "configuration": "undecided"},
+            ),
+            values={**trusted.values, "decision_time": None},
+        )
+        with RecordWriter(tmp_path, sweep_id="E5") as writer:
+            writer.write(trusted)
+            writer.write(undecided)
+        result = analyze_store(
+            RecordStore.load(tmp_path),
+            group_by=("configuration",),
+            metrics=("runs", "decision_time"),
+        )
+        assert [(r["configuration"], r["runs"]) for r in result.rows] == [
+            ("trusted party", 1),
+            ("undecided", 1),
+        ]
+        assert result.rows[0]["decision_time"] == trusted["decision_time"] > 0.0
+        assert result.rows[1]["decision_time"] == "-"
 
 
 class TestCampaignAggregation:

@@ -137,13 +137,17 @@ class TestExperimentClaims:
 
     def test_e2_naive_breaks_tuned_does_not(self):
         result = EXPERIMENTS["E2"](quick=True)
-        tuned = result.find_rows(calculus="tuned")
-        naive = result.find_rows(calculus="naive")
-        assert all(r["violations"] == 0.0 for r in tuned)
-        drifting = [r for r in naive if r["rho"] >= 0.005]
-        assert drifting and all(r["violations"] > 0.0 for r in drifting)
-        zero_drift = [r for r in naive if r["rho"] == 0.0]
-        assert all(r["violations"] == 0.0 for r in zero_drift)
+        tuned = result.find_rows(drift_tuned=True)
+        naive = result.find_rows(drift_tuned=False)
+        assert all(r["def1_ok"] == 1.0 for r in tuned)
+        drifting = [r for r in naive if r["rho_clock"] >= 0.005]
+        assert drifting and all(r["def1_ok"] < 1.0 for r in drifting)
+        # The drifting escrow leaves a connector out of pocket, which
+        # the checker reports as a consistency (C) violation.
+        assert all(r["harmed"] > 0.0 for r in drifting)
+        assert all("C" in r["violated"].split(",") for r in drifting)
+        zero_drift = [r for r in naive if r["rho_clock"] == 0.0]
+        assert all(r["def1_ok"] == 1.0 for r in zero_drift)
 
     def test_e3_every_family_member_defeated(self):
         result = EXPERIMENTS["E3"](quick=True)
@@ -165,11 +169,15 @@ class TestExperimentClaims:
 
     def test_e5_cc_threshold(self):
         result = EXPERIMENTS["E5"](quick=True)
+
+        def cc_ok(row):
+            return "CC" not in row["violated"].split(",")
+
         equiv = [r for r in result.rows if "equivocating" in r["configuration"]]
-        assert equiv and not equiv[0]["cc_ok"]
+        assert equiv and not cc_ok(equiv[0])
         t1 = [r for r in result.rows if "traitors=1" in r["configuration"]]
         t2 = [r for r in result.rows if "traitors=2" in r["configuration"]]
-        assert t1[0]["cc_ok"] and not t2[0]["cc_ok"]
+        assert cc_ok(t1[0]) and not cc_ok(t2[0])
 
     def test_e6_deal_property_matrix(self):
         result = EXPERIMENTS["E6"](quick=True)
