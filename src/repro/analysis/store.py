@@ -10,13 +10,21 @@ Python objects; this module instead transposes them **once** into a
 
 * scalar spec options (``protocol``, ``topology``, ``rho``, ...) and
   scalar trial values (``bob_paid``, ``latency``, ...) each become one
-  column;
+  column; non-scalar ones become one column of compact JSON strings;
 * uniformly-typed numeric columns compact into ``array.array`` typed
   arrays (``'d'`` for floats, ``'q'`` for ints) — one machine word per
   cell instead of one boxed object;
 * bookkeeping rides along as the ``seed``, ``wall_seconds``, ``ok``,
   and ``error`` columns, so failed trials stay visible (and countable)
   without poisoning the value columns, which hold ``None`` for them.
+
+One column builder does the transpose, fed ``(seed, options, values,
+error, wall_seconds)`` rows either straight from the JSON dicts of a
+persisted directory (:meth:`RecordStore.load`) or from in-memory
+records (:meth:`RecordStore.from_records`), so both give the same
+store.  It moves runs of same-shaped rows into the columns a batch at
+a time, resolves column names once per batch, and JSON-encodes
+each distinct non-scalar cell once.
 
 The query layer (:mod:`repro.analysis.query`) works on row-index
 subsets of a store, so filtering and grouping never copy column data.
@@ -32,15 +40,24 @@ from __future__ import annotations
 
 import json
 from array import array
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..errors import PersistenceError
 from ..runtime.aggregate import TrialRecord
 from ..runtime.persist import (
     _RESERVED_COLUMNS,
-    _is_scalar,
-    iter_records,
+    iter_record_dicts,
     read_manifest,
     scan_records,
 )
@@ -50,6 +67,94 @@ from ..runtime.persist import (
 #: and prefix identically in both views) plus ``ok``, which only the
 #: store materialises as a column.
 _STORE_RESERVED = _RESERVED_COLUMNS + ("ok",)
+
+
+#: The fields of a persisted record dict that the column builder reads.
+_ROW_FIELDS = itemgetter("seed", "options", "values", "error", "wall_seconds")
+
+#: A row's key shape: its option keys and its value keys, in order.
+Shape = Tuple[tuple, tuple]
+
+#: Cells of these types are stored as-is; any other cell is embedded
+#: as compact JSON.  ``_SCALAR_TYPES`` is the exact-type fast path,
+#: ``_SCALARS`` the ``isinstance`` rule it stands for (``bool`` is an
+#: ``int``, and a ``float`` subclass is a float cell too).
+_SCALARS = (str, int, float, type(None))
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: Most rows one batch of the column builder holds (see _build).
+_BATCH_ROWS = 1024
+
+
+def _column_names(shape: Shape) -> List[str]:
+    """A key shape's column names, in order.
+
+    Option keys colliding with the store's own columns get an
+    ``option_`` prefix; value keys colliding with anything before them
+    a ``value_`` prefix (as in
+    :func:`~repro.runtime.persist.flatten_record`).
+    """
+    taken = set(_STORE_RESERVED)
+    names: List[str] = []
+    for keys, prefix in zip(shape, ("option", "value")):
+        for key in keys:
+            column = key if key not in taken else f"{prefix}_{key}"
+            taken.add(column)
+            names.append(column)
+    return names
+
+
+class _ColumnBuilder:
+    """Batches of same-shape rows in, column lists out.
+
+    :meth:`add` transposes a batch with ``zip`` in one go: column names
+    are resolved once per batch, not per cell, and a batch column is
+    scanned for non-scalar cells once.  Each distinct non-scalar cell is
+    JSON-encoded once per build, through a memo keyed on ``repr``, not
+    on ``==``: ``[1]``, ``[1.0]`` and ``[True]`` are equal but encode
+    differently, while equal ``repr`` means equal JSON for plain data.
+    """
+
+    def __init__(self, columns: Optional[Sequence[str]]) -> None:
+        self.wanted = None if columns is None else set(columns)
+        self.cells: Dict[str, List[Any]] = {}  # kept columns, first-seen
+        self.offered: Dict[str, None] = {}  # every projectable column
+        self.count = 0
+        self._encoded: Dict[str, str] = {}
+
+    def add(self, shape: Shape, batch: List[tuple]) -> None:
+        """Append rows whose option then value cells follow ``shape``."""
+        cells, count = self.cells, self.count
+        for name, column in zip(_column_names(shape), zip(*batch)):
+            self.offered[name] = None
+            if self.wanted is not None and name not in self.wanted:
+                continue
+            data = cells.get(name)
+            if data is None:
+                data = cells[name] = [None] * count
+            if not _SCALAR_TYPES.issuperset(map(type, column)):
+                column = [self._cell(value) for value in column]
+            data.extend(column)
+        self.count = count = count + len(batch)
+        for data in cells.values():  # pad the columns this shape lacks
+            if len(data) < count:
+                data.extend([None] * (count - len(data)))
+
+    def _cell(self, value: Any) -> Any:
+        if isinstance(value, _SCALARS):
+            return value
+        key = repr(value)
+        text = self._encoded.get(key)
+        if text is None:
+            text = self._encoded[key] = json.dumps(value)
+        return text
+
+
+#: Column kinds by the one type a column's non-``None`` cells share.
+_KINDS = {float: "float", int: "int", bool: "bool", str: "str"}
+
+#: ``array.array`` typecodes of the kinds stored as typed arrays.
+_TYPECODES = {"float": "d", "int": "q"}
 
 
 class Column:
@@ -69,25 +174,15 @@ class Column:
 
     def __init__(self, name: str, values: Sequence[Any]) -> None:
         self.name = name
-        kinds = {type(v) for v in values if v is not None}
-        has_none = any(v is None for v in values)
-        if kinds == {float}:
-            self.kind = "float"
-            self.data: Sequence[Any] = (
-                list(values) if has_none else array("d", values)
-            )
-        elif kinds == {int}:
-            self.kind = "int"
-            self.data = list(values) if has_none else array("q", values)
-        elif kinds == {bool}:
-            self.kind = "bool"
-            self.data = list(values)
-        elif kinds == {str}:
-            self.kind = "str"
-            self.data = list(values)
-        else:
-            self.kind = "object"
-            self.data = list(values)
+        types = set(map(type, values))
+        gapped = type(None) in types
+        types.discard(type(None))
+        only = types.pop() if len(types) == 1 else None
+        self.kind = _KINDS.get(only, "object")
+        typecode = None if gapped else _TYPECODES.get(self.kind)
+        self.data: Sequence[Any] = (
+            array(typecode, values) if typecode else list(values)
+        )
 
     def __len__(self) -> int:
         return len(self.data)
@@ -156,73 +251,29 @@ class RecordStore:
         source: Optional[str] = None,
         columns: Optional[Sequence[str]] = None,
     ) -> "RecordStore":
-        """Transpose records into columns (missing cells become None).
+        """Transpose in-memory records into columns.
 
-        Non-scalar options/values (timing descriptors, option dicts)
-        are embedded as compact JSON strings, mirroring the CSV view;
-        every failed trial contributes ``None`` to each value column
-        and its traceback to the ``error`` column.
+        Feeds each record's ``(seed, options, values, error,
+        wall_seconds)`` to the same column builder that :meth:`load`
+        feeds straight from decoded JSON, so a store built here equals
+        the store loaded from the records' persisted directory — same
+        columns, order, kinds and cells.  Missing cells become
+        ``None``; non-scalar options/values (timing descriptors,
+        option dicts) are embedded as compact JSON strings, mirroring
+        the CSV view; every failed trial contributes ``None`` to each
+        value column and its traceback to the ``error`` column.
 
-        ``records`` may be any iterable — the transpose is a single
-        pass, so feeding it a streaming reader (e.g.
-        :func:`~repro.runtime.persist.iter_records` chunks, flattened)
-        never materialises the whole record list.  ``columns`` projects
-        the store onto just those option/value columns; the bookkeeping
-        columns (``seed``, ``wall_seconds``, ``ok``, ``error``) always
-        materialise, and a requested column no record carries raises,
-        naming what the records actually offered.
+        ``records`` may be any iterable; the transpose is one pass.
+        ``columns`` projects the store onto just those option/value
+        columns; the bookkeeping columns (``seed``, ``wall_seconds``,
+        ``ok``, ``error``) always materialise, and a requested column
+        no record carries raises, naming what the records offered.
         """
-        wanted = None if columns is None else set(columns)
-        names: List[str] = []  # column order: first-seen
-        cells: Dict[str, List[Any]] = {}
-        offered: List[str] = []  # all projectable columns encountered
-        seeds: List[int] = []
-        walls: List[float] = []
-        oks: List[bool] = []
-        errors: List[Optional[str]] = []
-        row = 0
-
-        def put(row: int, key: str, value: Any) -> None:
-            if key not in cells:
-                if key not in offered:
-                    offered.append(key)
-                if wanted is not None and key not in wanted:
-                    return
-                names.append(key)
-                cells[key] = [None] * row
-            cells[key].append(value if _is_scalar(value) else json.dumps(value))
-
-        for record in records:
-            taken = set(_STORE_RESERVED)
-            for key, value in record.spec.options.items():
-                column = key if key not in taken else f"option_{key}"
-                taken.add(column)
-                put(row, column, value)
-            for key, value in record.values.items():
-                column = key if key not in taken else f"value_{key}"
-                taken.add(column)
-                put(row, column, value)
-            for name in names:  # pad columns this record did not touch
-                if len(cells[name]) == row:
-                    cells[name].append(None)
-            seeds.append(record.spec.seed)
-            walls.append(float(record.wall_seconds))
-            oks.append(record.ok)
-            errors.append(record.error)
-            row += 1
-        if wanted is not None:
-            missing = sorted(wanted - set(names))
-            if missing:
-                raise PersistenceError(
-                    f"no such column(s) {', '.join(missing)} in "
-                    f"{source or 'records'}; available: {', '.join(offered)}"
-                )
-        store_columns = {name: Column(name, cells[name]) for name in names}
-        store_columns["seed"] = Column("seed", seeds)
-        store_columns["wall_seconds"] = Column("wall_seconds", walls)
-        store_columns["ok"] = Column("ok", oks)
-        store_columns["error"] = Column("error", errors)
-        return cls(store_columns, row, sweep_id=sweep_id, source=source)
+        rows = (
+            (r.spec.seed, r.spec.options, r.values, r.error, r.wall_seconds)
+            for r in records
+        )
+        return cls._build(rows, sweep_id, source, columns)
 
     @classmethod
     def load(
@@ -235,12 +286,14 @@ class RecordStore:
 
         By default the directory must be complete (manifest present and
         consistent — exactly :func:`~repro.runtime.persist.load_sweep_result`'s
-        contract), and the records stream through
-        :func:`~repro.runtime.persist.iter_records` in bounded chunks —
-        only the columns ever hold the whole directory, never the row
-        objects.  ``partial=True`` instead salvages whatever complete
-        records ``records.jsonl`` holds, manifest or not — the
-        read-only lens on an interrupted campaign.  ``columns``
+        contract).  Its lines stream through
+        :func:`~repro.runtime.persist.iter_record_dicts` into the
+        column builder as decoded dicts: no per-row spec or record
+        object is built, and only the columns ever hold the whole
+        directory.  ``partial=True`` instead salvages whatever
+        complete records ``records.jsonl`` holds, manifest or not —
+        the read-only lens on an interrupted campaign — and builds the
+        same columns through :meth:`from_records`.  ``columns``
         projects the store (see :meth:`from_records`): a large
         directory queried for two columns pays for two columns.
         """
@@ -258,15 +311,63 @@ class RecordStore:
                 columns=columns,
             )
         manifest = read_manifest(in_dir)
-        stream = (
-            record for chunk in iter_records(in_dir) for record in chunk
+        return cls._build(
+            map(_ROW_FIELDS, iter_record_dicts(in_dir)),
+            manifest.get("sweep_id", "sweep"),
+            str(in_dir),
+            columns,
         )
-        return cls.from_records(
-            stream,
-            sweep_id=manifest.get("sweep_id", "sweep"),
-            source=str(in_dir),
-            columns=columns,
-        )
+
+    @classmethod
+    def _build(
+        cls,
+        rows: Iterable[tuple],
+        sweep_id: str,
+        source: Optional[str],
+        columns: Optional[Sequence[str]],
+    ) -> "RecordStore":
+        """The one transpose behind :meth:`from_records` and :meth:`load`.
+
+        ``rows`` are ``(seed, options, values, error, wall_seconds)``
+        tuples.  Runs of consecutive rows with one key shape go to a
+        :class:`_ColumnBuilder` in batches of at most ``_BATCH_ROWS``,
+        so a streamed directory never holds more than one batch of row
+        tuples besides its columns.
+        """
+        builder = _ColumnBuilder(columns)
+        seeds: List[Any] = []
+        walls: List[float] = []
+        errors: List[Optional[str]] = []
+        shape: Optional[Shape] = None
+        batch: List[tuple] = []
+        for seed, options, values, error, wall_seconds in rows:
+            row_shape = (tuple(options), tuple(values))
+            if row_shape != shape or len(batch) >= _BATCH_ROWS:
+                if batch:
+                    builder.add(shape, batch)
+                shape, batch = row_shape, []
+            batch.append((*options.values(), *values.values()))
+            seeds.append(seed)
+            walls.append(float(wall_seconds))
+            errors.append(error)
+        if batch:
+            builder.add(shape, batch)
+        if builder.wanted is not None:
+            missing = sorted(builder.wanted - builder.cells.keys())
+            if missing:
+                raise PersistenceError(
+                    f"no such column(s) {', '.join(missing)} in "
+                    f"{source or 'records'}; available: "
+                    f"{', '.join(builder.offered)}"
+                )
+        store_columns = {
+            name: Column(name, data) for name, data in builder.cells.items()
+        }
+        store_columns["seed"] = Column("seed", seeds)
+        store_columns["wall_seconds"] = Column("wall_seconds", walls)
+        store_columns["ok"] = Column("ok", [error is None for error in errors])
+        store_columns["error"] = Column("error", errors)
+        return cls(store_columns, len(seeds), sweep_id=sweep_id, source=source)
 
     def __len__(self) -> int:
         return self.length
@@ -287,12 +388,12 @@ class RecordStore:
         return {name: col[index] for name, col in self.columns.items()}
 
     def distinct(self, name: str) -> List[Any]:
-        """Ordered distinct values of a column (first-seen order)."""
-        seen: List[Any] = []
-        for value in self.column(name):
-            if value not in seen:
-                seen.append(value)
-        return seen
+        """Ordered distinct values of a column (first-seen order).
+
+        Every cell is a hashable scalar or a JSON string, so one pass
+        through a dict keeps this linear in the row count.
+        """
+        return list(dict.fromkeys(self.column(name)))
 
     def where(
         self, match: Dict[str, Any], indices: Optional[Sequence[int]] = None

@@ -410,8 +410,8 @@ def write_sweep_result(result: SweepResult, out_dir: Union[str, Path]) -> Path:
 def read_manifest(in_dir: Union[str, Path]) -> Dict[str, Any]:
     """Load and schema-check a complete directory's ``manifest.json``.
 
-    The validation half that :func:`load_sweep_result` and
-    :func:`iter_records` share: both files must exist and the manifest
+    The validation half of :func:`iter_record_dicts` (and so of every
+    complete-directory load): both files must exist and the manifest
     must carry the schema version this build reads.
     """
     in_dir = Path(in_dir)
@@ -433,6 +433,69 @@ def read_manifest(in_dir: Union[str, Path]) -> Dict[str, Any]:
     return manifest
 
 
+#: The keys every persisted record carries (see :func:`record_to_dict`).
+_RECORD_KEYS = frozenset(
+    ("fn", "coords", "seed", "options", "values", "error", "wall_seconds")
+)
+
+
+def _malformed(data: Any) -> Optional[str]:
+    """Why a decoded line is not a record dict, or ``None`` if it is."""
+    if not isinstance(data, dict):
+        return f"expected an object, got {type(data).__name__}"
+    missing = sorted(_RECORD_KEYS - data.keys())
+    if missing:
+        return f"missing {', '.join(missing)}"
+    for key in ("options", "values"):
+        if not isinstance(data[key], dict):
+            return f"{key} is not an object"
+    return None
+
+
+def iter_record_dicts(in_dir: Union[str, Path]) -> Iterator[Dict[str, Any]]:
+    """Stream a complete directory's records as validated plain dicts.
+
+    The one reader of complete directories: :func:`iter_records` builds
+    :class:`TrialRecord` objects from it, and
+    :meth:`~repro.analysis.store.RecordStore.load` transposes its dicts
+    into columns without building any.  The manifest is validated up
+    front; blank lines are skipped; an undecodable line, a line that
+    is not an object, a missing key, or ``options``/``values`` that are
+    not objects raise :class:`PersistenceError` naming
+    ``records.jsonl:<line>``; and the record count is checked against
+    the manifest after the last line, so a truncated write still
+    raises, after its valid prefix was read.  As a generator, errors
+    surface at iteration time, not call time.
+    """
+    in_dir = Path(in_dir)
+    manifest = read_manifest(in_dir)
+    records_path = in_dir / RECORDS_JSONL
+    count = 0
+    with records_path.open("r", encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise PersistenceError(
+                    f"{records_path}:{line_no}: invalid JSON ({exc})"
+                ) from None
+            problem = _malformed(data)
+            if problem is not None:
+                raise PersistenceError(
+                    f"{records_path}:{line_no}: malformed record ({problem})"
+                )
+            count += 1
+            yield data
+    expected = manifest.get("records")
+    if expected != count:
+        raise PersistenceError(
+            f"{in_dir}: manifest promises {expected} records, "
+            f"{RECORDS_JSONL} holds {count} (truncated write?)"
+        )
+
+
 def iter_records(
     in_dir: Union[str, Path], chunk_size: int = STREAM_CHUNK
 ) -> Iterator[List[TrialRecord]]:
@@ -441,42 +504,19 @@ def iter_records(
     Yields lists of at most ``chunk_size`` records in persisted (=
     spec) order, holding only one chunk's row objects at a time — the
     memory-bounded counterpart of :func:`load_sweep_result` for
-    consumers that reduce records as they go (columnar ingestion, the
-    analyze CLI over million-row directories).  The manifest is
-    validated up front and its record count checked after the final
-    line, so a truncated ``records.jsonl`` still raises — just after
-    the valid prefix was consumed.  As a generator, errors surface at
-    iteration time, not call time.
+    consumers that reduce records as they go.  Reads through
+    :func:`iter_record_dicts`, so it raises exactly what that does.
     """
-    in_dir = Path(in_dir)
     if chunk_size < 1:
         raise PersistenceError(f"chunk_size must be >= 1, got {chunk_size}")
-    manifest = read_manifest(in_dir)
-    records_path = in_dir / RECORDS_JSONL
-    count = 0
     chunk: List[TrialRecord] = []
-    with records_path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                chunk.append(record_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise PersistenceError(
-                    f"{records_path}:{line_no}: invalid JSON ({exc})"
-                ) from None
-            count += 1
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
+    for data in iter_record_dicts(in_dir):
+        chunk.append(record_from_dict(data))
+        if len(chunk) >= chunk_size:
+            yield chunk
+            chunk = []
     if chunk:
         yield chunk
-    expected = manifest.get("records")
-    if expected != count:
-        raise PersistenceError(
-            f"{in_dir}: manifest promises {expected} records, "
-            f"{RECORDS_JSONL} holds {count} (truncated write?)"
-        )
 
 
 def load_sweep_result(in_dir: Union[str, Path]) -> SweepResult:
@@ -509,6 +549,7 @@ __all__ = [
     "STREAM_CHUNK",
     "ScanResult",
     "flatten_record",
+    "iter_record_dicts",
     "iter_records",
     "load_sweep_result",
     "read_manifest",

@@ -18,6 +18,7 @@ from repro.experiments import render_table
 from repro.runtime import (
     RecordWriter,
     SerialExecutor,
+    SweepResult,
     TrialRecord,
     TrialSpec,
     load_sweep_result,
@@ -129,6 +130,160 @@ class TestRecordStore:
             RecordStore.load(out)
         store = RecordStore.load(out, partial=True)
         assert len(store) == 4
+
+
+    def test_distinct_keeps_first_seen_order(self):
+        names = ["b", "a", "b", "c", "a"]
+        records = [
+            TrialRecord(
+                spec=TrialSpec(fn="m:f", coords=(i,), seed=i,
+                               options={"name": name}),
+                values={"x": [2.0, None, 1.0, 2.0, None][i]},
+            )
+            for i, name in enumerate(names)
+        ]
+        store = RecordStore.from_records(records)
+        assert store.distinct("name") == ["b", "a", "c"]
+        assert store.distinct("x") == [2.0, None, 1.0]
+        assert store.distinct("seed") == [0, 1, 2, 3, 4]
+
+
+def _mixed_records():
+    """Records exercising every corner of the column builder: a failed
+    trial, a mid-file change of key shape (crash-restart rows add the
+    recovery columns), an option named ``seed``, a value key colliding
+    with an option, and non-scalar options and values."""
+
+    def record(i, values=None, error=None, **options):
+        options = {"protocol": "htlc", "timing": ["synchronous", {"delta": 1.0}],
+                   "seed": i % 2, **options}
+        return TrialRecord(
+            spec=TrialSpec(fn="m:f", coords=(i,), seed=1000 + i, options=options),
+            values=values if values is not None else {},
+            error=error,
+            wall_seconds=0.25 * i,
+        )
+
+    plain = {"bob_paid": True, "latency": 2.5, "messages": 7,
+             "protocol": "weak", "violated": ["def1"]}
+    crashed = {**plain, "crashed": True, "crash_point": "post-send",
+               "crash_downtime": 2.0, "recovered_at": 9.5}
+    return [
+        record(0, values=plain),
+        record(1, values={**plain, "latency": 3.0, "violated": []}),
+        record(2, error="Traceback ..."),
+        record(3, values=crashed, adversary="crash-restart"),
+        record(4, values={**crashed, "latency": None}, adversary="crash-restart"),
+        record(5, values={**plain, "violated": [1.0]},
+               protocol_options={"delta": 1, "flags": [True]}),
+        record(6, values=plain),
+    ]
+
+
+def _column_dump(store):
+    """Everything a store promises about its columns, cell types too."""
+    return [
+        (name, col.kind, type(col.data),
+         [(type(cell), cell) for cell in col.data])
+        for name, col in store.columns.items()
+    ]
+
+
+class TestLoadMatchesFromRecords:
+    """load() builds columns from decoded JSON, from_records() from
+    TrialRecords: both feed one builder and must give the same store."""
+
+    @pytest.mark.parametrize("columns", [
+        None,
+        ["protocol", "option_seed", "value_protocol", "timing", "recovered_at"],
+    ])
+    def test_load_equals_from_records(self, tmp_path, columns):
+        out = tmp_path / "mixed"
+        write_sweep_result(SweepResult("mixed", _mixed_records()), out)
+        loaded = RecordStore.load(out, columns=columns)
+        built = RecordStore.from_records(
+            load_sweep_result(out).records, sweep_id="mixed", columns=columns
+        )
+        assert _column_dump(loaded) == _column_dump(built)
+        assert len(loaded) == len(built) == 7
+        assert loaded.sweep_id == built.sweep_id == "mixed"
+
+    def test_builder_corners(self, tmp_path):
+        out = tmp_path / "mixed"
+        write_sweep_result(SweepResult("mixed", _mixed_records()), out)
+        store = RecordStore.load(out)
+        names = store.column_names()
+        assert names.index("crashed") > names.index("violated")  # first-seen
+        assert list(store.column("option_seed")) == [0, 1, 0, 1, 0, 1, 0]
+        assert store.column("seed")[3] == 1003
+        assert store.column("protocol")[0] == "htlc"
+        assert store.column("value_protocol")[0] == "weak"
+        assert store.column("value_protocol")[2] is None  # failed trial
+        assert list(store.column("recovered_at")) == [
+            None, None, None, 9.5, 9.5, None, None
+        ]
+        assert store.column("timing")[0] == '["synchronous", {"delta": 1.0}]'
+        assert list(store.column("violated")) == [
+            '["def1"]', "[]", None, '["def1"]', '["def1"]', "[1.0]", '["def1"]'
+        ]
+        assert store.column("protocol_options")[5] == '{"delta": 1, "flags": [true]}'
+        assert list(store.column("ok")) == [True, True, False, True, True, True, True]
+
+    def test_equal_but_differently_encoded_cells_stay_apart(self):
+        """The per-load encoding memo is keyed on repr, not ==:
+        [1] == [1.0] == [True], but each keeps its own JSON."""
+        records = [
+            TrialRecord(spec=TrialSpec(fn="m:f", coords=(i,), seed=i,
+                                       options={"x": x}))
+            for i, x in enumerate([[1], [1.0], [True], (1,)])
+        ]
+        store = RecordStore.from_records(records)
+        assert list(store.column("x")) == ["[1]", "[1.0]", "[true]", "[1]"]
+
+
+class TestLoadErrors:
+    """RecordStore.load's own error contract for complete directories."""
+
+    def _rewrite(self, out, edit):
+        jsonl = out / RECORDS_JSONL
+        lines = jsonl.read_text(encoding="utf-8").splitlines(keepends=True)
+        jsonl.write_text("".join(edit(lines)), encoding="utf-8")
+
+    def test_truncated_directory_raises(self, tmp_path):
+        out, _ = _persisted(tmp_path)
+        self._rewrite(out, lambda lines: lines[:-1])
+        with pytest.raises(PersistenceError, match="manifest promises"):
+            RecordStore.load(out)
+
+    def test_invalid_json_line_is_named(self, tmp_path):
+        out, _ = _persisted(tmp_path)
+        self._rewrite(out, lambda lines: [lines[0], "{not json\n", *lines[2:]])
+        with pytest.raises(PersistenceError, match=r"records\.jsonl:2: invalid JSON"):
+            RecordStore.load(out)
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data.pop("values"),
+        lambda data: data.update(options=[["protocol", "htlc"]]),
+        lambda data: data.update(values="oops"),
+    ])
+    def test_malformed_record_raises(self, tmp_path, damage):
+        out, _ = _persisted(tmp_path)
+
+        def edit(lines):
+            data = json.loads(lines[1])
+            damage(data)
+            return [lines[0], json.dumps(data) + "\n", *lines[2:]]
+
+        self._rewrite(out, edit)
+        with pytest.raises(PersistenceError, match=r"records\.jsonl:2: malformed"):
+            RecordStore.load(out)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        out, result = _persisted(tmp_path)
+        self._rewrite(out, lambda lines: [lines[0], "\n", "  \n", *lines[1:]])
+        store = RecordStore.load(out)
+        assert len(store) == len(result)
+        assert list(store.column("seed")) == [r.spec.seed for r in result]
 
 
 class TestPercentile:
