@@ -57,15 +57,16 @@ from ..errors import PersistenceError
 from ..runtime.aggregate import TrialRecord
 from ..runtime.persist import (
     _RESERVED_COLUMNS,
+    column_names,
     iter_record_dicts,
     read_manifest,
     scan_records,
 )
 
 #: Columns the store itself owns: the CSV writer's reserved names
-#: (shared with persist.flatten_record, so option/value keys collide
-#: and prefix identically in both views) plus ``ok``, which only the
-#: store materialises as a column.
+#: (shared with persist.flatten_record through persist.column_names, so
+#: option/value keys collide and prefix identically in both views) plus
+#: ``ok``, which only the store materialises as a column.
 _STORE_RESERVED = _RESERVED_COLUMNS + ("ok",)
 
 
@@ -84,24 +85,6 @@ _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 #: Most rows one batch of the column builder holds (see _build).
 _BATCH_ROWS = 1024
-
-
-def _column_names(shape: Shape) -> List[str]:
-    """A key shape's column names, in order.
-
-    Option keys colliding with the store's own columns get an
-    ``option_`` prefix; value keys colliding with anything before them
-    a ``value_`` prefix (as in
-    :func:`~repro.runtime.persist.flatten_record`).
-    """
-    taken = set(_STORE_RESERVED)
-    names: List[str] = []
-    for keys, prefix in zip(shape, ("option", "value")):
-        for key in keys:
-            column = key if key not in taken else f"{prefix}_{key}"
-            taken.add(column)
-            names.append(column)
-    return names
 
 
 class _ColumnBuilder:
@@ -125,7 +108,8 @@ class _ColumnBuilder:
     def add(self, shape: Shape, batch: List[tuple]) -> None:
         """Append rows whose option then value cells follow ``shape``."""
         cells, count = self.cells, self.count
-        for name, column in zip(_column_names(shape), zip(*batch)):
+        names = column_names(*shape, _STORE_RESERVED)
+        for name, column in zip(names, zip(*batch)):
             self.offered[name] = None
             if self.wanted is not None and name not in self.wanted:
                 continue

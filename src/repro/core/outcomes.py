@@ -14,7 +14,8 @@ by all protocols in this library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..ledger.asset import Amount
@@ -47,14 +48,6 @@ def snapshot_balances(
             }
             snap[escrow][customer] = {a: u for a, u in balances.items() if u != 0}
     return snap
-
-
-def _totals(snapshot: BalanceSnapshot, customer: str) -> Dict[str, int]:
-    totals: Dict[str, int] = {}
-    for accounts in snapshot.values():
-        for asset, units in accounts.get(customer, {}).items():
-            totals[asset] = totals.get(asset, 0) + units
-    return totals
 
 
 @dataclass
@@ -126,16 +119,28 @@ class PaymentOutcome:
 
     # -- positions ---------------------------------------------------------------
 
+    @cached_property
+    def _position_deltas(self) -> Dict[str, AssetDelta]:
+        """Every customer's net balance change, totalled in one pass.
+
+        An outcome describes a finished run, so its snapshots no longer
+        change and the totals are computed once per outcome.
+        """
+        net: Dict[str, AssetDelta] = {}
+        for sign, snapshot in ((-1, self.initial_balances), (1, self.final_balances)):
+            for accounts in snapshot.values():
+                for customer, balances in accounts.items():
+                    totals = net.setdefault(customer, {})
+                    for asset, units in balances.items():
+                        totals[asset] = totals.get(asset, 0) + sign * units
+        return {
+            customer: {asset: units for asset, units in totals.items() if units}
+            for customer, totals in net.items()
+        }
+
     def position_delta(self, customer: str) -> AssetDelta:
         """Net balance change of ``customer`` summed over all escrows."""
-        before = _totals(self.initial_balances, customer)
-        after = _totals(self.final_balances, customer)
-        delta: AssetDelta = {}
-        for asset in set(before) | set(after):
-            diff = after.get(asset, 0) - before.get(asset, 0)
-            if diff != 0:
-                delta[asset] = diff
-        return delta
+        return dict(self._position_deltas.get(customer, {}))
 
     def expected_success_delta(self, customer) -> AssetDelta:
         """The position change a completed payment gives a customer.
@@ -162,13 +167,12 @@ class PaymentOutcome:
 
     def refunded(self, customer: str) -> bool:
         """Whether the customer ended exactly where she started."""
-        return self.position_delta(customer) == {}
+        return not self._position_deltas.get(customer)
 
     def in_success_position(self, customer: str) -> bool:
         """Whether the customer holds the completed-payment position."""
-        return self.position_delta(customer) == self.expected_success_delta(
-            customer
-        )
+        actual = self._position_deltas.get(customer, {})
+        return actual == self.expected_success_delta(customer)
 
     @property
     def bob_paid(self) -> bool:

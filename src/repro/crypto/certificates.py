@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import CryptoError
 from .keys import Identity, KeyRing
-from .signatures import Signature, sign, verify
+from .signatures import Signature, SignedFields
 
 
 class Decision(str, Enum):
@@ -34,7 +34,7 @@ class Decision(str, Enum):
 
 
 @dataclass(frozen=True)
-class PaymentCertificate:
+class PaymentCertificate(SignedFields):
     """χ — Bob's signed statement that his payment obligation is met.
 
     Attributes
@@ -57,12 +57,7 @@ class PaymentCertificate:
     @classmethod
     def issue(cls, identity: Identity, payment_id: str) -> "PaymentCertificate":
         """Create χ signed by ``identity``."""
-        body = {"type": "chi", "payment_id": payment_id, "issuer": identity.name}
-        return cls(
-            payment_id=payment_id,
-            issuer=identity.name,
-            signature=sign(identity, body),
-        )
+        return cls._issue(identity, payment_id=payment_id, issuer=identity.name)
 
     def valid(self, keyring: KeyRing, expected_issuer: Optional[str] = None) -> bool:
         """Verify the signature (and, optionally, the issuer's name).
@@ -73,13 +68,11 @@ class PaymentCertificate:
         """
         if expected_issuer is not None and self.issuer != expected_issuer:
             return False
-        if self.signature.signer != self.issuer:
-            return False
-        return verify(keyring, self.signature, self.signing_fields())
+        return self._verify(keyring, self.issuer)
 
 
 @dataclass(frozen=True)
-class DecisionCertificate:
+class DecisionCertificate(SignedFields):
     """χc / χa — a single-signer transaction-manager decision."""
 
     payment_id: str
@@ -100,26 +93,15 @@ class DecisionCertificate:
         cls, identity: Identity, payment_id: str, decision: Decision
     ) -> "DecisionCertificate":
         """Create a decision certificate signed by ``identity``."""
-        body = {
-            "type": "decision",
-            "payment_id": payment_id,
-            "decision": decision.value,
-            "issuer": identity.name,
-        }
-        return cls(
-            payment_id=payment_id,
-            decision=decision,
-            issuer=identity.name,
-            signature=sign(identity, body),
+        return cls._issue(
+            identity, payment_id=payment_id, decision=decision, issuer=identity.name
         )
 
     def valid(self, keyring: KeyRing, expected_issuer: Optional[str] = None) -> bool:
         """Verify the signature (and, optionally, the issuer's name)."""
         if expected_issuer is not None and self.issuer != expected_issuer:
             return False
-        if self.signature.signer != self.issuer:
-            return False
-        return verify(keyring, self.signature, self.signing_fields())
+        return self._verify(keyring, self.issuer)
 
     @property
     def is_commit(self) -> bool:
@@ -127,7 +109,7 @@ class DecisionCertificate:
 
 
 @dataclass(frozen=True)
-class Vote:
+class Vote(SignedFields):
     """One notary's signed vote for a decision."""
 
     payment_id: str
@@ -146,23 +128,12 @@ class Vote:
     @classmethod
     def cast(cls, identity: Identity, payment_id: str, decision: Decision) -> "Vote":
         """Create a vote signed by the notary ``identity``."""
-        body = {
-            "type": "vote",
-            "payment_id": payment_id,
-            "decision": decision.value,
-            "notary": identity.name,
-        }
-        return cls(
-            payment_id=payment_id,
-            decision=decision,
-            notary=identity.name,
-            signature=sign(identity, body),
+        return cls._issue(
+            identity, payment_id=payment_id, decision=decision, notary=identity.name
         )
 
     def valid(self, keyring: KeyRing) -> bool:
-        if self.signature.signer != self.notary:
-            return False
-        return verify(keyring, self.signature, self.signing_fields())
+        return self._verify(keyring, self.notary)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ participant.  Verification needs only the public registry.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..errors import CryptoError
 
@@ -61,6 +62,8 @@ class KeyRing:
     def __init__(self, domain: str = "default") -> None:
         self.domain = domain
         self._identities: Dict[str, Identity] = {}
+        #: ``(signer, tag, payload bytes)`` of every successful check.
+        self._verified: Set[Tuple[str, bytes, bytes]] = set()
 
     def create(self, name: str) -> Identity:
         """Create (or return the existing) identity for ``name``."""
@@ -75,22 +78,25 @@ class KeyRing:
         """Create identities for several names."""
         return [self.create(name) for name in names]
 
-    def secret_of(self, name: str) -> bytes:
-        """Secret lookup used *only* by the verifier.
+    def check(self, signer: str, tag: bytes, encoded: bytes) -> bool:
+        """Whether ``tag`` is ``signer``'s HMAC over ``encoded``.
 
-        Verification recomputes the HMAC, which in this simulation
-        requires the secret.  The method is package-private by
-        convention: protocol/Byzantine code receives Identity objects,
-        never the ring.
+        The verifier's half of :func:`~repro.crypto.signatures.verify`.
+        A successful check is remembered, so repeating it costs a set
+        lookup.  That is sound because a name's secret never changes
+        within a ring, and the memo belongs to this ring alone.  A
+        failed check (unknown signer, wrong tag) is not remembered.
         """
-        identity = self._identities.get(name)
-        if identity is None:
-            raise CryptoError(f"unknown identity: {name!r}")
-        return identity.secret
-
-    def knows(self, name: str) -> bool:
-        """Whether ``name`` is registered."""
-        return name in self._identities
+        key = (signer, tag, encoded)
+        if key in self._verified:
+            return True
+        identity = self._identities.get(signer)
+        if identity is None or not hmac.compare_digest(
+            hmac.digest(identity.secret, encoded, "sha256"), tag
+        ):
+            return False
+        self._verified.add(key)
+        return True
 
     def names(self) -> List[str]:
         """Sorted registered identity names."""

@@ -24,11 +24,11 @@ from typing import Any, Dict, Optional
 
 from ..errors import CryptoError
 from .keys import Identity, KeyRing
-from .signatures import Signature, sign, verify
+from .signatures import Signature, SignedFields
 
 
 @dataclass(frozen=True)
-class Guarantee:
+class Guarantee(SignedFields):
     """G(d): refund-or-certificate guarantee to the upstream customer."""
 
     payment_id: str
@@ -53,30 +53,16 @@ class Guarantee:
         """Create G(d) signed by the escrow ``identity``."""
         if d <= 0:
             raise CryptoError(f"guarantee window d must be > 0, got {d!r}")
-        body = {
-            "type": "guarantee",
-            "payment_id": payment_id,
-            "escrow": identity.name,
-            "customer": customer,
-            "d": d,
-        }
-        return cls(
-            payment_id=payment_id,
-            escrow=identity.name,
-            customer=customer,
-            d=d,
-            signature=sign(identity, body),
+        return cls._issue(
+            identity, payment_id=payment_id, escrow=identity.name, customer=customer, d=d
         )
 
     def valid(self, keyring: KeyRing) -> bool:
-        return (
-            self.signature.signer == self.escrow
-            and verify(keyring, self.signature, self.signing_fields())
-        )
+        return self._verify(keyring, self.escrow)
 
 
 @dataclass(frozen=True)
-class PaymentPromise:
+class PaymentPromise(SignedFields):
     """P(a): pay-on-certificate promise to the downstream customer.
 
     ``issued_at_local`` is the escrow-local time ``now`` at issuance —
@@ -113,21 +99,13 @@ class PaymentPromise:
         """Create P(a) signed by the escrow ``identity``."""
         if a <= 0:
             raise CryptoError(f"promise window a must be > 0, got {a!r}")
-        body = {
-            "type": "promise",
-            "payment_id": payment_id,
-            "escrow": identity.name,
-            "customer": customer,
-            "a": a,
-            "issued_at_local": issued_at_local,
-        }
-        return cls(
+        return cls._issue(
+            identity,
             payment_id=payment_id,
             escrow=identity.name,
             customer=customer,
             a=a,
             issued_at_local=issued_at_local,
-            signature=sign(identity, body),
         )
 
     def deadline_local(self) -> float:
@@ -135,10 +113,7 @@ class PaymentPromise:
         return self.issued_at_local + self.a
 
     def valid(self, keyring: KeyRing) -> bool:
-        return (
-            self.signature.signer == self.escrow
-            and verify(keyring, self.signature, self.signing_fields())
-        )
+        return self._verify(keyring, self.escrow)
 
 
 __all__ = ["Guarantee", "PaymentPromise"]

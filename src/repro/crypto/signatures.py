@@ -5,14 +5,25 @@ a payload.  Canonicalisation walks plain Python structures (dict, list,
 tuple, str, int, float, bool, None, bytes) and any object exposing
 ``signing_fields() -> dict``; the encoding is stable across runs and
 platforms so signatures are reproducible.
+
+Signed objects encode their payload once in their life.  The frozen
+certificate, vote and promise classes (:class:`SignedFields`) and
+:class:`SignedClaim`, whose body is frozen, hand :func:`sign` and
+:func:`verify` a :class:`Payload` built from their immutable fields;
+the first call that needs its bytes encodes it and later calls reuse
+them.  :func:`verify` checks through
+:meth:`~repro.crypto.keys.KeyRing.check`, which remembers each
+successful ``(signer, tag, bytes)`` check, so a receiver re-checking a
+claim already checked in the same world pays a set lookup, not an
+HMAC.  Failed checks are never remembered.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Dict, Optional
 
 from ..errors import CryptoError, SignatureError
 from .keys import Identity, KeyRing
@@ -29,6 +40,28 @@ def canonical_encode(payload: Any) -> bytes:
     out = bytearray()
     _encode_into(payload, out)
     return bytes(out)
+
+
+class Payload:
+    """A payload that is canonically encoded at most once.
+
+    :func:`sign` and :func:`verify` accept a ``Payload`` wherever they
+    accept a plain payload and sign the same bytes; the first of them
+    to need the bytes encodes ``value``, later calls reuse them.  The
+    caller promises that ``value`` is never mutated.
+    """
+
+    __slots__ = ("value", "_encoded")
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+        self._encoded: Optional[bytes] = None
+
+    def encoded(self) -> bytes:
+        data = self._encoded
+        if data is None:
+            data = self._encoded = canonical_encode(self.value)
+        return data
 
 
 def _encode_into(value: Any, out: bytearray) -> None:
@@ -122,29 +155,28 @@ class Signature:
 
 
 def sign(identity: Identity, payload: Any) -> Signature:
-    """Sign ``payload`` as ``identity``.
+    """Sign ``payload`` (plain or a :class:`Payload`) as ``identity``.
 
     Signing requires the identity object (and thus its secret) — this is
     the structural unforgeability guarantee.
     """
-    encoded = canonical_encode(payload)
-    tag = hmac.new(identity.secret, encoded, hashlib.sha256).digest()
+    encoded = (
+        payload.encoded() if payload.__class__ is Payload else canonical_encode(payload)
+    )
+    tag = hmac.digest(identity.secret, encoded, "sha256")
     return Signature(signer=identity.name, tag=tag)
 
 
 def verify(keyring: KeyRing, signature: Signature, payload: Any) -> bool:
-    """Check ``signature`` over ``payload`` against the registry.
+    """Check ``signature`` over ``payload`` (plain or a :class:`Payload`).
 
     Returns ``False`` for unknown signers or non-matching tags (never
     raises for a *failed* check; raises only for malformed inputs).
     """
-    if not keyring.knows(signature.signer):
-        return False
-    encoded = canonical_encode(payload)
-    expected = hmac.new(
-        keyring.secret_of(signature.signer), encoded, hashlib.sha256
-    ).digest()
-    return hmac.compare_digest(expected, signature.tag)
+    encoded = (
+        payload.encoded() if payload.__class__ is Payload else canonical_encode(payload)
+    )
+    return keyring.check(signature.signer, signature.tag, encoded)
 
 
 def require_valid(keyring: KeyRing, signature: Signature, payload: Any) -> None:
@@ -155,24 +187,82 @@ def require_valid(keyring: KeyRing, signature: Signature, payload: Any) -> None:
         )
 
 
+class SignedFields:
+    """Base of the frozen signed objects: χ, decisions, votes, promises.
+
+    A subclass is a frozen dataclass with a ``signature`` field whose
+    signed payload is ``signing_fields()``.  Its fields never change,
+    so :attr:`signing_payload` is built once and encoded at most once.
+    """
+
+    def signing_fields(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    @cached_property
+    def signing_payload(self) -> Payload:
+        """``signing_fields()`` as a :class:`Payload`."""
+        return Payload(self.signing_fields())
+
+    @classmethod
+    def _issue(cls, identity: Identity, **fields: Any) -> Any:
+        """An instance of ``fields`` signed by ``identity``."""
+        issued = cls(**fields, signature=None)
+        signature = sign(identity, issued.signing_payload)
+        object.__setattr__(issued, "signature", signature)
+        return issued
+
+    def _verify(self, keyring: KeyRing, signer: str) -> bool:
+        """Whether ``signer`` signed this object's payload."""
+        return self.signature.signer == signer and verify(
+            keyring, self.signature, self.signing_payload
+        )
+
+
+class FrozenBody(dict):
+    """A read-only claim body: a ``dict`` whose mutators raise.
+
+    It encodes, compares, prints and serialises exactly like the
+    ``dict`` it copies, so a claim's signed bytes cannot go stale.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a signed claim body is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> Any:
+        return (FrozenBody, (dict(self),))
+
+
 @dataclass(frozen=True)
-class SignedClaim:
+class SignedClaim(SignedFields):
     """A generic signed statement (dict body + signature).
 
     Used for the weak-liveness protocol's control plane: escrows sign
     "escrowed" reports, Bob signs his commit request, customers sign
     abort requests — so notaries can verify the provenance of protocol
-    inputs (external validity of the consensus).
+    inputs (external validity of the consensus).  The body is frozen
+    on construction; it is the signed payload.
     """
 
     body: "dict"
     signature: Signature
 
+    def __post_init__(self) -> None:
+        if self.body.__class__ is not FrozenBody:
+            object.__setattr__(self, "body", FrozenBody(self.body))
+
+    def signing_fields(self) -> Dict[str, Any]:
+        return self.body
+
     @classmethod
     def make(cls, identity: Identity, **body: Any) -> "SignedClaim":
         """Sign a claim; the signer name is embedded into the body."""
-        full = {**body, "signer": identity.name}
-        return cls(body=full, signature=sign(identity, full))
+        body["signer"] = identity.name
+        return cls._issue(identity, body=FrozenBody(body))
 
     @property
     def signer(self) -> str:
@@ -180,19 +270,20 @@ class SignedClaim:
 
     def valid(self, keyring: KeyRing, expected_signer: Optional[str] = None) -> bool:
         """Verify the claim (optionally pinning the signer)."""
-        if self.signature.signer != self.signer:
-            return False
         if expected_signer is not None and self.signer != expected_signer:
             return False
-        return verify(keyring, self.signature, self.body)
+        return self._verify(keyring, self.signer)
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.body.get(key, default)
 
 
 __all__ = [
+    "FrozenBody",
+    "Payload",
     "Signature",
     "SignedClaim",
+    "SignedFields",
     "canonical_encode",
     "require_valid",
     "sign",

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import EscrowStateError, LedgerError, UnknownAccount
 from ..sim.kernel import Simulator
@@ -291,63 +291,40 @@ class Ledger:
 
     # -- auditing ----------------------------------------------------------------
 
-    def total_in_accounts(self, asset: str) -> int:
-        """Sum of account balances for ``asset``."""
-        return sum(acct.balance(asset).units for acct in self._accounts.values())
-
-    def total_in_locks(self, asset: str) -> int:
-        """Sum of HELD lock values for ``asset``."""
-        return sum(
-            l.amount.units
-            for l in self._locks.values()
-            if l.held and l.amount.asset == asset
-        )
-
-    def total_reserved(self, asset: str) -> int:
-        """Sum of reserved balances for ``asset`` across all accounts."""
-        return sum(
-            acct.reserved(asset).units for acct in self._accounts.values()
-        )
-
-    def reserve_backing_ok(self, asset: str) -> bool:
-        """Whether every account's reservation equals its held locks.
-
-        Stronger than the aggregate ``total_reserved == total_in_locks``:
-        a reserve leaked from one depositor to another would cancel out
-        in the totals but not per account.
-        """
-        backing: Dict[str, int] = {}
-        for lock in self._locks.values():
-            if lock.held and lock.amount.asset == asset:
-                backing[lock.depositor] = (
-                    backing.get(lock.depositor, 0) + lock.amount.units
-                )
-        return all(
-            acct.reserved(asset).units == backing.get(owner, 0)
-            for owner, acct in self._accounts.items()
-        )
-
     def audit(self) -> Dict[str, bool]:
         """Conservation check per asset: minted == accounts + held locks,
         and every held lock exactly backed by its depositor's reserve.
 
         This is escrow security (ES) in executable form: if it holds at
         the end of a run, the escrow has not lost (or fabricated) value
-        — and no reservation was double-spent along the way.
+        — and no reservation was double-spent along the way.  The
+        backing check is per account, stronger than comparing total
+        reserves with total locks: a reserve leaked from one depositor
+        to another would cancel out in the totals.  One pass over the
+        accounts and locks serves every asset.
         """
-        assets = set(self._minted)
-        for acct in self._accounts.values():
-            assets.update(acct.snapshot())
-            assets.update(acct.reserved_snapshot())
+        # asset -> accounts + held locks - minted: 0 when conserved
+        surplus = {asset: -units for asset, units in self._minted.items()}
+        # (account owner, asset) -> reserved - held locks it deposited
+        unbacked: Dict[Tuple[str, str], int] = {}
+        for owner, acct in self._accounts.items():
+            for asset, units in acct.snapshot().items():
+                surplus[asset] = surplus.get(asset, 0) + units
+            for asset, units in acct.reserved_snapshot().items():
+                surplus.setdefault(asset, 0)
+                unbacked[owner, asset] = units
         for lock in self._locks.values():
-            assets.add(lock.amount.asset)
+            asset, units = lock.amount.asset, lock.amount.units
+            surplus.setdefault(asset, 0)
+            if lock.held:
+                surplus[asset] += units
+                if lock.depositor in self._accounts:
+                    key = (lock.depositor, asset)
+                    unbacked[key] = unbacked.get(key, 0) - units
+        leaky = {asset for (_, asset), units in unbacked.items() if units}
         return {
-            asset: (
-                self._minted.get(asset, 0)
-                == self.total_in_accounts(asset) + self.total_in_locks(asset)
-                and self.reserve_backing_ok(asset)
-            )
-            for asset in sorted(assets)
+            asset: surplus[asset] == 0 and asset not in leaky
+            for asset in sorted(surplus)
         }
 
     def audit_ok(self) -> bool:

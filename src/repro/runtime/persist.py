@@ -44,7 +44,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Dict, IO, Iterable, Iterator, List, Optional, Union
 
 from ..errors import PersistenceError
 from .aggregate import SweepResult, TrialRecord
@@ -82,8 +82,10 @@ def record_from_dict(data: Dict[str, Any]) -> TrialRecord:
     restored to the tuple the runtime promises.  Option *values* keep
     their JSON types (a tuple-valued option such as a timing descriptor
     returns as a list); aggregation keys on strings and numbers, so the
-    reduced table is unaffected.
+    reduced table is unaffected.  ``data`` must pass
+    :func:`_check_record`.
     """
+    _check_record(data)
     try:
         spec = TrialSpec(
             fn=data["fn"],
@@ -97,8 +99,36 @@ def record_from_dict(data: Dict[str, Any]) -> TrialRecord:
             error=data["error"],
             wall_seconds=data["wall_seconds"],
         )
-    except (KeyError, TypeError) as exc:
-        raise PersistenceError(f"malformed persisted record: {exc!r}") from None
+    except TypeError as exc:
+        raise PersistenceError(f"malformed record ({exc})") from None
+
+
+#: The keys every persisted record carries (see :func:`record_to_dict`).
+_RECORD_KEYS = frozenset(
+    ("fn", "coords", "seed", "options", "values", "error", "wall_seconds")
+)
+
+
+def _check_record(data: Any) -> Dict[str, Any]:
+    """Return ``data`` if it is a record dict, else raise.
+
+    The one record check of every reader (:func:`iter_record_dicts`,
+    :func:`scan_records`, :func:`record_from_dict`): ``data`` must be
+    an object carrying every record key, with object ``options`` and
+    ``values``.  Raises :class:`PersistenceError`; a reader adds the
+    line it read ``data`` from.
+    """
+    if not isinstance(data, dict):
+        problem = f"expected an object, got {type(data).__name__}"
+    elif not _RECORD_KEYS <= data.keys():
+        problem = f"missing {', '.join(sorted(_RECORD_KEYS - data.keys()))}"
+    elif not isinstance(data["options"], dict):
+        problem = "options is not an object"
+    elif not isinstance(data["values"], dict):
+        problem = "values is not an object"
+    else:
+        return data
+    raise PersistenceError(f"malformed record ({problem})")
 
 
 def _is_scalar(value: Any) -> bool:
@@ -110,23 +140,40 @@ def _is_scalar(value: Any) -> bool:
 _RESERVED_COLUMNS = ("seed", "wall_seconds", "error")
 
 
+def column_names(
+    option_keys: Iterable[str], value_keys: Iterable[str], reserved: Iterable[str]
+) -> List[str]:
+    """Flat column names for a record's option keys, then value keys.
+
+    The one naming rule of the CSV rows (:func:`flatten_record`) and
+    the analysis store.  A key whose name is already taken (a
+    ``reserved`` column or an earlier key's column) gets an
+    ``option_`` / ``value_`` prefix, repeatedly, until the name is
+    free: options ``{"x", "value_x"}`` with values ``{"x"}`` give
+    ``x``, ``value_x``, ``value_value_x``.
+    """
+    taken = set(reserved)
+    names: List[str] = []
+    for keys, prefix in ((option_keys, "option_"), (value_keys, "value_")):
+        for key in keys:
+            column = key
+            while column in taken:
+                column = prefix + column
+            taken.add(column)
+            names.append(column)
+    return names
+
+
 def flatten_record(record: TrialRecord) -> Dict[str, Any]:
     """One flat CSV row: scalar columns as-is, the rest as JSON cells.
 
-    Option keys colliding with the writer's own columns get an
-    ``option_`` prefix; value keys colliding with anything placed
-    before them get a ``value_`` prefix — the JSONL keeps the
-    originals either way.
+    Columns are named by :func:`column_names` — the JSONL keeps the
+    original keys either way.
     """
+    options, values = record.spec.options, record.values
     flat: Dict[str, Any] = {"seed": record.spec.seed}
-    taken = set(_RESERVED_COLUMNS)
-    for key, value in record.spec.options.items():
-        column = key if key not in taken else f"option_{key}"
-        taken.add(column)
-        flat[column] = value if _is_scalar(value) else json.dumps(value)
-    for key, value in record.values.items():
-        column = key if key not in taken else f"value_{key}"
-        taken.add(column)
+    cells = [*options.values(), *values.values()]
+    for column, value in zip(column_names(options, values, _RESERVED_COLUMNS), cells):
         flat[column] = value if _is_scalar(value) else json.dumps(value)
     flat["wall_seconds"] = record.wall_seconds
     flat["error"] = record.error or ""
@@ -191,19 +238,21 @@ def scan_records(in_dir: Union[str, Path]) -> ScanResult:
     with records_path.open("rb") as handle:
         raw_lines = handle.readlines()
     for line_no, raw in enumerate(raw_lines, start=1):
-        last = line_no == len(raw_lines)
         try:
             if not raw.endswith(b"\n"):
                 raise ValueError("no trailing newline")
             record = record_from_dict(json.loads(raw.decode("utf-8")))
-        except (ValueError, PersistenceError, UnicodeDecodeError) as exc:
-            if last:
-                break  # interrupted tail: salvage everything before it
-            raise PersistenceError(
-                f"{records_path}:{line_no}: corrupt record ({exc})"
-            ) from None
-        records.append(record)
-        valid_bytes += len(raw)
+        except PersistenceError as exc:
+            problem = str(exc)
+        except (ValueError, UnicodeDecodeError) as exc:
+            problem = f"corrupt record ({exc})"
+        else:
+            records.append(record)
+            valid_bytes += len(raw)
+            continue
+        if line_no == len(raw_lines):
+            break  # interrupted tail: salvage everything before it
+        raise PersistenceError(f"{records_path}:{line_no}: {problem}")
     return ScanResult(
         records=records, manifest=manifest, jsonl_bytes=valid_bytes
     )
@@ -302,8 +351,9 @@ class RecordWriter:
         if self._closed:
             raise PersistenceError(f"RecordWriter({self.out_dir}) is closed")
         assert self._jsonl is not None
-        json.dump(record_to_dict(record), self._jsonl, separators=(",", ":"))
-        self._jsonl.write("\n")
+        self._jsonl.write(
+            json.dumps(record_to_dict(record), separators=(",", ":")) + "\n"
+        )
         self._write_csv(flatten_record(record), record.ok)
         self.count += 1
 
@@ -433,25 +483,6 @@ def read_manifest(in_dir: Union[str, Path]) -> Dict[str, Any]:
     return manifest
 
 
-#: The keys every persisted record carries (see :func:`record_to_dict`).
-_RECORD_KEYS = frozenset(
-    ("fn", "coords", "seed", "options", "values", "error", "wall_seconds")
-)
-
-
-def _malformed(data: Any) -> Optional[str]:
-    """Why a decoded line is not a record dict, or ``None`` if it is."""
-    if not isinstance(data, dict):
-        return f"expected an object, got {type(data).__name__}"
-    missing = sorted(_RECORD_KEYS - data.keys())
-    if missing:
-        return f"missing {', '.join(missing)}"
-    for key in ("options", "values"):
-        if not isinstance(data[key], dict):
-            return f"{key} is not an object"
-    return None
-
-
 def iter_record_dicts(in_dir: Union[str, Path]) -> Iterator[Dict[str, Any]]:
     """Stream a complete directory's records as validated plain dicts.
 
@@ -476,16 +507,13 @@ def iter_record_dicts(in_dir: Union[str, Path]) -> Iterator[Dict[str, Any]]:
             if line.isspace():
                 continue
             try:
-                data = json.loads(line)
+                data = _check_record(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise PersistenceError(
                     f"{records_path}:{line_no}: invalid JSON ({exc})"
                 ) from None
-            problem = _malformed(data)
-            if problem is not None:
-                raise PersistenceError(
-                    f"{records_path}:{line_no}: malformed record ({problem})"
-                )
+            except PersistenceError as exc:
+                raise PersistenceError(f"{records_path}:{line_no}: {exc}") from None
             count += 1
             yield data
     expected = manifest.get("records")
@@ -548,6 +576,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "STREAM_CHUNK",
     "ScanResult",
+    "column_names",
     "flatten_record",
     "iter_record_dicts",
     "iter_records",

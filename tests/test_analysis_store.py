@@ -1,5 +1,6 @@
 """Tests: the analysis subsystem (store, query, render, CLI, resume)."""
 
+import csv
 import json
 
 import pytest
@@ -241,6 +242,29 @@ class TestLoadMatchesFromRecords:
         assert list(store.column("x")) == ["[1]", "[1.0]", "[true]", "[1]"]
 
 
+    def test_prefixed_name_clash_gets_its_own_column(self, tmp_path):
+        """Options {x, value_x} and value x: the value's ``value_x``
+        name is taken, so it is prefixed again, in the store and in the
+        CSV row alike."""
+        records = [
+            TrialRecord(spec=TrialSpec(fn="m:f", coords=(i,), seed=i,
+                                       options={"x": 1, "value_x": 2}),
+                        values={"x": 3 + i})
+            for i in range(3)
+        ]
+        out = tmp_path / "clash"
+        write_sweep_result(SweepResult("clash", records), out)
+        for store in (RecordStore.load(out), RecordStore.load(out, partial=True),
+                      RecordStore.from_records(records)):
+            assert list(store.column("x")) == [1, 1, 1]
+            assert list(store.column("value_x")) == [2, 2, 2]
+            assert list(store.column("value_value_x")) == [3, 4, 5]
+        with (out / "records.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["x"], r["value_x"], r["value_value_x"]) for r in rows] == [
+            ("1", "2", "3"), ("1", "2", "4"), ("1", "2", "5")
+        ]
+
 class TestLoadErrors:
     """RecordStore.load's own error contract for complete directories."""
 
@@ -261,12 +285,15 @@ class TestLoadErrors:
         with pytest.raises(PersistenceError, match=r"records\.jsonl:2: invalid JSON"):
             RecordStore.load(out)
 
+    @pytest.mark.parametrize("partial", [False, True])
     @pytest.mark.parametrize("damage", [
         lambda data: data.pop("values"),
         lambda data: data.update(options=[["protocol", "htlc"]]),
+        lambda data: data.update(options="protocol=htlc"),
         lambda data: data.update(values="oops"),
     ])
-    def test_malformed_record_raises(self, tmp_path, damage):
+    def test_malformed_record_raises(self, tmp_path, damage, partial):
+        """--partial (scan_records) rejects what the plain load rejects."""
         out, _ = _persisted(tmp_path)
 
         def edit(lines):
@@ -276,7 +303,7 @@ class TestLoadErrors:
 
         self._rewrite(out, edit)
         with pytest.raises(PersistenceError, match=r"records\.jsonl:2: malformed"):
-            RecordStore.load(out)
+            RecordStore.load(out, partial=partial)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         out, result = _persisted(tmp_path)

@@ -184,6 +184,25 @@ class TestOutcomes:
             "X": topo.amounts[0].units - topo.amounts[1].units
         }
 
+    def test_position_deltas_total_both_snapshots(self):
+        """Each customer's delta is final minus initial balances summed
+        over every escrow, zero entries dropped; a returned delta is the
+        caller's own copy."""
+        outcome, topo = self._outcome()
+        for name in topo.participants():
+            expected = {}
+            for sign, snap in ((-1, outcome.initial_balances),
+                               (1, outcome.final_balances)):
+                for accounts in snap.values():
+                    for asset, units in accounts.get(name, {}).items():
+                        expected[asset] = expected.get(asset, 0) + sign * units
+            expected = {a: u for a, u in expected.items() if u}
+            assert outcome.position_delta(name) == expected
+        outcome.position_delta("c0")["X"] = 0
+        assert outcome.position_delta("c0") == {"X": -topo.amounts[0].units}
+        assert outcome.position_delta("nobody") == {}
+        assert outcome.refunded("nobody")
+
     def test_refund_positions_on_byzantine_bob(self):
         outcome, topo = self._outcome(byzantine={"c2": "bob_never_signs"})
         assert outcome.refunded("c0")

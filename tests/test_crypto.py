@@ -250,3 +250,114 @@ class TestHashlock:
     def test_any_preimage_roundtrip(self, raw):
         p = Preimage(raw)
         assert p.lock().matches(p)
+
+
+class TestEncodeOnceAndVerifyMemo:
+    """Signed objects encode their payload once; a KeyRing remembers
+    successful checks only.  None of that may let a forgery through."""
+
+    def test_signed_objects_sign_their_canonical_fields(self, ring):
+        """Byte form unchanged: the tag is the HMAC of signing_fields()."""
+        alice = ring.create("alice")
+        objects = [
+            PaymentCertificate.issue(alice, "p"),
+            DecisionCertificate.issue(alice, "p", Decision.ABORT),
+            Vote.cast(alice, "p", Decision.COMMIT),
+            Guarantee.issue(alice, "p", "bob", d=2.5),
+            PaymentPromise.issue(alice, "p", "bob", a=4.0, issued_at_local=1.5),
+        ]
+        for obj in objects:
+            assert obj.signature == sign(alice, obj.signing_fields())
+        claim = SignedClaim.make(alice, payment_id="p", kind="escrowed")
+        assert claim.body == {"payment_id": "p", "kind": "escrowed", "signer": "alice"}
+        assert claim.signature == sign(alice, dict(claim.body))
+
+    def test_payload_is_encoded_once(self, ring, monkeypatch):
+        import repro.crypto.signatures as signatures
+
+        calls = []
+        real = signatures.canonical_encode
+        monkeypatch.setattr(
+            signatures, "canonical_encode", lambda p: calls.append(p) or real(p)
+        )
+        claim = SignedClaim.make(ring.create("alice"), payment_id="p")
+        cert = DecisionCertificate.issue(ring.create("bob"), "p", Decision.COMMIT)
+        for _ in range(3):
+            assert claim.valid(ring) and cert.valid(ring)
+        assert len(calls) == 2
+
+    def test_claim_body_is_frozen(self, ring):
+        claim = SignedClaim.make(ring.create("alice"), payment_id="p")
+        with pytest.raises(TypeError):
+            claim.body["payment_id"] = "q"
+        with pytest.raises(TypeError):
+            claim.body.update(payment_id="q")
+        plain = {"payment_id": "p", "signer": "alice"}
+        direct = SignedClaim(body=plain, signature=claim.signature)
+        plain["payment_id"] = "q"  # the caller's dict, not the claim's body
+        assert direct.body["payment_id"] == "p" and direct.valid(ring)
+        import copy
+        import pickle
+
+        for clone in (copy.deepcopy(claim), pickle.loads(pickle.dumps(claim))):
+            assert clone == claim and clone.valid(ring)
+            with pytest.raises(TypeError):
+                clone.body.pop("payment_id")
+
+    def test_tampered_claim_rejected_after_genuine_verified(self, ring):
+        claim = SignedClaim.make(ring.create("alice"), payment_id="p", kind="escrowed")
+        assert claim.valid(ring)
+        tampered = SignedClaim(
+            body={**claim.body, "kind": "abort_request"}, signature=claim.signature
+        )
+        assert not tampered.valid(ring)
+        assert claim.valid(ring)
+
+    def test_forged_chi_rejected_after_genuine_verified(self, ring):
+        genuine = PaymentCertificate.issue(ring.create("bob"), "pay1")
+        assert genuine.valid(ring, expected_issuer="bob")
+        eve = ring.create("eve")
+        body = {"type": "chi", "payment_id": "pay1", "issuer": "bob"}
+        own_key = PaymentCertificate(
+            payment_id="pay1", issuer="bob", signature=sign(eve, body)
+        )
+        assert not own_key.valid(ring)
+        stolen_tag = PaymentCertificate(
+            payment_id="pay1", issuer="bob",
+            signature=Signature(signer="bob", tag=sign(eve, body).tag),
+        )
+        assert not stolen_tag.valid(ring)
+        replayed = PaymentCertificate(
+            payment_id="pay2", issuer="bob", signature=genuine.signature
+        )
+        assert not replayed.valid(ring)
+
+    def test_forge_certificate_behaviour_still_fails(self, ring):
+        from repro.byzantine.behaviors import apply_behavior
+        from repro.protocols.timebounded import bob_spec
+
+        genuine = PaymentCertificate.issue(ring.create("bob"), "pay1")
+        assert genuine.valid(ring, expected_issuer="bob")
+        spec = apply_behavior(bob_spec("c1", "e0"), "forge_certificate", {
+            "upstream_escrow": "e0", "identity": ring.create("eve"),
+            "payment_id": "pay1", "expected_issuer": "bob",
+        })
+        [send], _ = spec.states["forge"].emit(None)
+        assert send.payload.payment_id == "pay1" and send.payload.issuer == "bob"
+        assert not send.payload.valid(ring, expected_issuer="bob")
+
+    def test_failed_check_is_not_memoised(self):
+        ring = KeyRing(domain="test")
+        other = KeyRing(domain="test")
+        signature = sign(other.create("late"), {"x": 1})
+        assert not verify(ring, signature, {"x": 1})  # unknown signer
+        ring.create("late")
+        assert verify(ring, signature, {"x": 1})
+
+    def test_memo_never_crosses_keyrings(self):
+        first, second = KeyRing(domain="d1"), KeyRing(domain="d2")
+        claim = SignedClaim.make(first.create("alice"), payment_id="p")
+        second.create("alice")
+        assert claim.valid(first)
+        assert not claim.valid(second)  # other domain, other secret
+        assert claim.valid(first)

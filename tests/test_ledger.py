@@ -204,3 +204,72 @@ def test_conservation_invariant_under_random_operations(ops):
         except (InsufficientFunds, EscrowStateError):
             pass  # rejected ops must leave the ledger consistent too
         assert ledger.audit_ok()
+
+
+def _audit_per_asset(ledger):
+    """Reference audit: one walk over accounts and locks per asset."""
+    accounts = ledger._accounts
+    locks = list(ledger._locks.values())
+    assets = set(ledger._minted)
+    for acct in accounts.values():
+        assets.update(acct.snapshot())
+        assets.update(acct.reserved_snapshot())
+    assets.update(lock.amount.asset for lock in locks)
+    report = {}
+    for asset in sorted(assets):
+        held = [l for l in locks if l.held and l.amount.asset == asset]
+        conserved = ledger._minted.get(asset, 0) == sum(
+            a.balance(asset).units for a in accounts.values()
+        ) + sum(l.amount.units for l in held)
+        backed = all(
+            acct.reserved(asset).units
+            == sum(l.amount.units for l in held if l.depositor == owner)
+            for owner, acct in accounts.items()
+        )
+        report[asset] = conserved and backed
+    return report
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["transfer", "deposit", "release", "refund",
+                             "leak", "fabricate", "orphan"]),
+            st.sampled_from(["X", "Y", "Z"]),
+            st.integers(min_value=1, max_value=50),
+        ),
+        max_size=30,
+    )
+)
+def test_one_pass_audit_matches_per_asset_audit(ops):
+    """Ledger.audit walks accounts and locks once; its verdicts equal a
+    per-asset walk's, also on books broken on purpose: a reserve moved
+    to another depositor, value minted out of nowhere, a held lock whose
+    depositor has no account."""
+    ledger = Ledger("e")
+    ledger.mint("a", Amount("X", 300))
+    ledger.mint("a", Amount("Y", 300))
+    ledger.open_account("b")
+    held = []
+    for op, asset, units in ops:
+        amt = Amount(asset, units)
+        try:
+            if op == "transfer":
+                ledger.transfer("a", "b", amt)
+            elif op == "deposit":
+                held.append(ledger.escrow_deposit("a", "b", amt).lock_id)
+            elif op == "release" and held:
+                ledger.escrow_release(held.pop())
+            elif op == "refund" and held:
+                ledger.escrow_refund(held.pop())
+            elif op == "leak" and held:
+                lock = ledger.lock(held[-1])
+                ledger._accounts["a"]._reserved[lock.amount.asset] -= 1
+                ledger._accounts["b"]._reserved[lock.amount.asset] = 1
+            elif op == "fabricate":
+                ledger._accounts["b"]._balances[asset] = units
+            elif op == "orphan" and held:
+                ledger.lock(held[-1]).depositor = "nobody"
+        except (InsufficientFunds, EscrowStateError, LedgerError):
+            pass
+        assert ledger.audit() == _audit_per_asset(ledger)

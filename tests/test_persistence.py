@@ -63,6 +63,12 @@ class TestRecordRoundTrip:
         with pytest.raises(PersistenceError):
             record_from_dict({"fn": "m:f"})
 
+    @pytest.mark.parametrize("options", ["protocol=htlc", [["protocol", "weak"]]])
+    def test_non_object_options_rejected(self, options):
+        data = {**record_to_dict(_record(bob_paid=True)), "options": options}
+        with pytest.raises(PersistenceError, match="options is not an object"):
+            record_from_dict(data)
+
     def test_flatten_embeds_non_scalars_as_json(self):
         flat = flatten_record(_record(bob_paid=True))
         assert flat["protocol"] == "htlc"  # scalar option: as-is
@@ -107,6 +113,32 @@ class TestWriterAndLoader:
         assert [r.spec.coords for r in reloaded] == [
             r.spec.coords for r in result
         ]
+
+    def test_jsonl_lines_are_compact_json_of_each_record(self, tmp_path):
+        """The writer's byte form: one ``json.dumps(record_to_dict(r),
+        separators=(",", ":"))`` line per record."""
+        spec = TrialSpec(
+            fn="m:f", coords=("zürich", 1), seed=2**40 + 1,
+            options={"name": "Grüße ✓", "rho": 0.1, "nested": {"a": [1, 2.5, None]}},
+        )
+        records = [
+            TrialRecord(spec=spec, wall_seconds=1 / 3, values={
+                "latency": 1e-7, "big": 1.5e300, "neg": -0.0, "flag": True,
+                "path": ["c0→c1", {"hops": [[0, 1], [1, 2]], "ok": False}],
+                "empty": {}, "text": "tab\tquote\"",
+            }),
+            TrialRecord(spec=spec, error="Traceback: ValueError('é')",
+                        wall_seconds=0.0),
+        ]
+        out = tmp_path / "out"
+        with RecordWriter(out, sweep_id="bytes") as writer:
+            for record in records:
+                writer.write(record)
+        expected = "".join(
+            json.dumps(record_to_dict(r), separators=(",", ":")) + "\n"
+            for r in records
+        )
+        assert (out / RECORDS_JSONL).read_bytes() == expected.encode("utf-8")
 
     def test_csv_has_header_plus_row_per_record(self, tmp_path):
         result = self._sweep_result()
